@@ -517,9 +517,10 @@ func BenchmarkAblationOmegaRoutes(b *testing.B) {
 // BenchmarkSchedulerTick measures the raw cost of one scheduled virtual
 // tick driving one process step — the minimal unit of simulated work,
 // and the number behind every virtual-time metric: a sweep is millions
-// of these. Under the zero-handoff scheduler the stepping process runs
-// the tick phases itself and dispatches itself, so this path does no
-// goroutine switch at all.
+// of these. The stepping process runs the tick phases on its own stack
+// and, being the only process due, keeps running: this path does no
+// coroutine switch at all (the zero-switch path of internal/sim's
+// dispatch).
 //
 // (The PR-1 version of this benchmark spawned no processes, so the
 // clock jumped straight to MaxSteps and it measured nothing.)
@@ -542,10 +543,11 @@ func BenchmarkSchedulerTick(b *testing.B) {
 }
 
 // BenchmarkSchedulerWakeStorm is the worst-case tick: all 8 processes
-// wake on every tick, so each tick is a chain of 8 direct process-to-
-// process token handoffs (the old scheduler paid 16 switches plus lock
-// round-trips for the same tick). Goroutine switch cost is the floor
-// here.
+// wake on every tick, so each tick resumes 7 processes from the
+// dispatch loop — two coroutine switches each, process to loop to
+// process — while the last one to park runs the tick phases and, as
+// the first due process, keeps running. Coroutine switch cost is the
+// floor here.
 func BenchmarkSchedulerWakeStorm(b *testing.B) {
 	const n = 8
 	sys := MustNewSystem(Config{N: n, T: 3, Seed: 1, MaxSteps: sim.Time(b.N) + 1})

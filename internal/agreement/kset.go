@@ -75,8 +75,7 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 
 	est := v
 	r := 0
-	phase1 := make(map[int]map[ids.ProcID]phase1Msg)
-	phase2 := make(map[int]map[ids.ProcID]phase2Msg)
+	rounds := ksetRounds{n: n, base: 1}
 	var decided *Value
 
 	handle := func(m sim.Message) {
@@ -89,19 +88,13 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 			if !ok {
 				panic(fmt.Sprintf("agreement: phase1 payload %T", m.Payload))
 			}
-			if phase1[p.R] == nil {
-				phase1[p.R] = make(map[ids.ProcID]phase1Msg, n)
-			}
-			phase1[p.R][m.From] = p
+			rounds.phase1(m.From, p)
 		case tags.phase2:
 			p, ok := m.Payload.(phase2Msg)
 			if !ok {
 				panic(fmt.Sprintf("agreement: phase2 payload %T", m.Payload))
 			}
-			if phase2[p.R] == nil {
-				phase2[p.R] = make(map[ids.ProcID]phase2Msg, n)
-			}
-			phase2[p.R][m.From] = p
+			rounds.phase2(m.From, p)
 		case tags.decision:
 			p, ok := m.Payload.(decisionMsg)
 			if !ok {
@@ -121,18 +114,19 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 	rec := env.Trace()
 	for decided == nil {
 		r++
+		cur := rounds.start(r)
 		// Phase 1.
 		l := oracle.Trusted(me)
 		rec.Round(int64(env.Now()), int(me), r, l)
 		env.Broadcast(tags.phase1, phase1Msg{R: r, L: l, Est: est})
 		nd.WaitOn(func() bool {
-			return decided != nil || len(phase1[r]) >= n-t
+			return decided != nil || cur.p1From.Size() >= n-t
 		}, handle)
 		if decided != nil {
 			break
 		}
 		nd.WaitUntil(func() bool {
-			if decided != nil || anySenderIn(phase1[r], l) {
+			if decided != nil || cur.p1From.Intersects(l) {
 				return true
 			}
 			return !oracle.Trusted(me).Equal(l)
@@ -140,39 +134,17 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 		if decided != nil {
 			break
 		}
-		aux, bot := phase1Aux(phase1[r], n)
+		aux, bot := cur.phase1Aux(n)
 
 		// Phase 2.
 		env.Broadcast(tags.phase2, phase2Msg{R: r, Aux: aux, Bot: bot})
 		nd.WaitOn(func() bool {
-			return decided != nil || len(phase2[r]) >= n-t
+			return decided != nil || cur.p2From.Size() >= n-t
 		}, handle)
 		if decided != nil {
 			break
 		}
-		sawBot := false
-		adopted := false
-		// The paper adopts any received non-⊥ value ("takes one
-		// arbitrarily"); this implementation prefers its own echo when
-		// present, else the smallest-id sender's value — a legal choice
-		// that maximizes decision diversity (making the z ≤ k tightness
-		// observable) while keeping runs replayable: senders are scanned
-		// in identity order, never in map order.
-		for q := 1; q <= n; q++ {
-			from := ids.ProcID(q)
-			pm, ok := phase2[r][from]
-			if !ok {
-				continue
-			}
-			if pm.Bot {
-				sawBot = true
-				continue
-			}
-			if from == me || !adopted {
-				est = pm.Aux
-				adopted = true
-			}
-		}
+		adopted, sawBot := cur.adopt(me, &est)
 		if !adopted {
 			continue
 		}
@@ -187,48 +159,112 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 	return *decided
 }
 
-// anySenderIn reports whether some message in msgs came from a member of l.
-func anySenderIn(msgs map[ids.ProcID]phase1Msg, l ids.Set) bool {
-	for from := range msgs {
-		if l.Contains(from) {
-			return true
+// ksetRound buffers one round's messages: p1[q] / p2[q] hold process
+// q's PHASE1 / PHASE2 message, valid while q is in p1From / p2From.
+type ksetRound struct {
+	p1From, p2From ids.Set
+	p1             []phase1Msg // index 0..n
+	p2             []phase2Msg
+}
+
+// ksetRounds holds the buffers of the current and future rounds (bufs[i]
+// is round base+i: a faster process can run any number of rounds
+// ahead) and recycles a buffer through free when its round ends.
+// Messages for finished rounds are never read, so they are dropped.
+type ksetRounds struct {
+	n, base    int
+	bufs, free []*ksetRound
+}
+
+// at returns round r's buffer, nil once round r has ended.
+func (rs *ksetRounds) at(r int) *ksetRound {
+	if r < rs.base {
+		return nil
+	}
+	for len(rs.bufs) <= r-rs.base {
+		if k := len(rs.free) - 1; k >= 0 {
+			rs.bufs, rs.free = append(rs.bufs, rs.free[k]), rs.free[:k]
+		} else {
+			rs.bufs = append(rs.bufs, &ksetRound{p1: make([]phase1Msg, rs.n+1), p2: make([]phase2Msg, rs.n+1)})
 		}
 	}
-	return false
+	return rs.bufs[r-rs.base]
+}
+
+// start ends the rounds before r, recycling their buffers, and returns
+// round r's.
+func (rs *ksetRounds) start(r int) *ksetRound {
+	for ; rs.base < r; rs.base++ {
+		if len(rs.bufs) > 0 {
+			rs.bufs[0].p1From, rs.bufs[0].p2From = ids.Set{}, ids.Set{}
+			rs.free = append(rs.free, rs.bufs[0])
+			rs.bufs = append(rs.bufs[:0], rs.bufs[1:]...)
+		}
+	}
+	return rs.at(r)
+}
+
+func (rs *ksetRounds) phase1(from ids.ProcID, p phase1Msg) {
+	if b := rs.at(p.R); b != nil {
+		b.p1From, b.p1[from] = b.p1From.Add(from), p
+	}
+}
+
+func (rs *ksetRounds) phase2(from ids.ProcID, p phase2Msg) {
+	if b := rs.at(p.R); b != nil {
+		b.p2From, b.p2[from] = b.p2From.Add(from), p
+	}
 }
 
 // phase1Aux computes aux_i at the end of phase 1: if one leader set L was
-// announced by a strict majority of the senders heard so far, and some
-// heard sender belongs to L, aux is that sender's estimate (the estimate
-// of the smallest-id such leader, deterministically); otherwise aux = ⊥.
-func phase1Aux(msgs map[ids.ProcID]phase1Msg, n int) (aux Value, bot bool) {
-	counts := make(map[ids.Set]int, len(msgs))
-	var major ids.Set
-	found := false
-	for _, pm := range msgs {
-		counts[pm.L]++
-		if 2*counts[pm.L] > n {
-			major = pm.L
-			found = true
+// announced by a strict majority of the n processes, and some heard
+// sender belongs to L, aux is the estimate of the smallest-id such
+// sender; otherwise aux = ⊥. Such an L is also a strict majority of the
+// senders heard, so a Boyer–Moore vote pass over them leaves it as the
+// candidate and a count pass confirms it.
+func (b *ksetRound) phase1Aux(n int) (aux Value, bot bool) {
+	var cand ids.Set
+	votes, count := 0, 0
+	b.p1From.ForEach(func(q ids.ProcID) bool {
+		if votes == 0 {
+			cand = b.p1[q].L
 		}
-	}
-	if !found {
+		if b.p1[q].L.Equal(cand) {
+			votes++
+		} else {
+			votes--
+		}
+		return true
+	})
+	b.p1From.ForEach(func(q ids.ProcID) bool {
+		if b.p1[q].L.Equal(cand) {
+			count++
+		}
+		return true
+	})
+	leader := b.p1From.Intersect(cand).Min()
+	if 2*count <= n || leader == ids.None {
 		return 0, true
 	}
-	var bestFrom ids.ProcID
-	for from, pm := range msgs {
-		if !major.Contains(from) {
-			continue
+	return b.p1[leader].Est, false
+}
+
+// adopt ends phase 2: it reports whether a non-⊥ value was adopted into
+// est and whether a ⊥ was received. The paper adopts any non-⊥ value
+// ("takes one arbitrarily"); this implementation prefers its own echo
+// when present, else the smallest-id sender's value — a legal choice
+// that maximizes decision diversity (making the z ≤ k tightness
+// observable) while keeping runs replayable.
+func (b *ksetRound) adopt(me ids.ProcID, est *Value) (adopted, sawBot bool) {
+	b.p2From.ForEach(func(from ids.ProcID) bool {
+		if pm := b.p2[from]; pm.Bot {
+			sawBot = true
+		} else if from == me || !adopted {
+			*est, adopted = pm.Aux, true
 		}
-		if bestFrom == ids.None || from < bestFrom {
-			bestFrom = from
-			aux = pm.Est
-		}
-	}
-	if bestFrom == ids.None {
-		return 0, true
-	}
-	return aux, false
+		return true
+	})
+	return adopted, sawBot
 }
 
 // KSetMain returns a process main running KSet over a fresh rbcast layer,

@@ -1,6 +1,6 @@
 // Package runtoken_neg holds plain run-token-owned state: no locks,
-// no atomics, no goroutines. Channels are how the token itself moves,
-// so channel operations are legal.
+// no atomics, no goroutines. The rule polices exactly those three, so
+// a channel operation stays quiet.
 package runtoken_neg
 
 // Sched is run-token state accessed without synchronization.

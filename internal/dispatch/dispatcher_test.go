@@ -6,7 +6,9 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -119,10 +121,16 @@ func TestDispatchFaultMatrix(t *testing.T) {
 	matrices := testSuite()
 	want := baselineSuite(t, matrices)
 
+	// The units hold 2 cells each and worker 0 is handed the first unit
+	// before any other worker, so a worker-0 fault armed at After: 1
+	// fires inside that first unit on every run; armed any later, it
+	// would fire only if worker 0 also won a second unit. fired, when
+	// set, is the dismissal the fault must cause.
 	cases := []struct {
 		name    string
 		workers int
 		faults  map[int]Fault
+		fired   string
 		check   func(t *testing.T, s *Stats)
 	}{
 		{name: "clean", workers: 3, check: func(t *testing.T, s *Stats) {
@@ -133,14 +141,16 @@ func TestDispatchFaultMatrix(t *testing.T) {
 				t.Errorf("clean run: %d cells in %d units, want 12 in 6", s.Cells, s.Units)
 			}
 		}},
-		{name: "crash", workers: 3, faults: map[int]Fault{0: {Kind: FaultCrash, After: 2}},
+		{name: "crash", workers: 3, faults: map[int]Fault{0: {Kind: FaultCrash, After: 1}},
+			fired: "dismissing w0:pipe0: connection lost",
 			check: func(t *testing.T, s *Stats) {
 				if s.WorkersLost == 0 {
 					t.Error("crashed worker not counted as lost")
 				}
 			}},
 		{name: "hang", workers: 3, faults: map[int]Fault{0: {Kind: FaultHang, After: 1}}},
-		{name: "corrupt-frame", workers: 3, faults: map[int]Fault{0: {Kind: FaultCorrupt, After: 2}},
+		{name: "corrupt-frame", workers: 3, faults: map[int]Fault{0: {Kind: FaultCorrupt, After: 1}},
+			fired: "dismissing w0:pipe0: corrupt frame",
 			check: func(t *testing.T, s *Stats) {
 				if s.WorkersLost == 0 {
 					t.Error("corrupting worker not dismissed")
@@ -180,8 +190,16 @@ func TestDispatchFaultMatrix(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			fleet := pipeFleet(c.workers, c.faults)
 			cfg := testConfig(matrices)
-			if testing.Verbose() {
-				cfg.Logf = t.Logf
+			var logMu sync.Mutex
+			var logged []string
+			cfg.Logf = func(format string, args ...any) {
+				line := fmt.Sprintf(format, args...)
+				logMu.Lock()
+				logged = append(logged, line)
+				logMu.Unlock()
+				if testing.Verbose() {
+					t.Log(line)
+				}
 			}
 			reports, stats, err := Run(cfg, fleet)
 			if err != nil {
@@ -196,6 +214,13 @@ func TestDispatchFaultMatrix(t *testing.T) {
 			}
 			if c.check != nil {
 				c.check(t, stats)
+			}
+			if c.fired != "" {
+				logMu.Lock()
+				defer logMu.Unlock()
+				if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, c.fired) }) {
+					t.Errorf("fault did not fire: no %q in the dispatch log", c.fired)
+				}
 			}
 		})
 	}
@@ -266,7 +291,9 @@ func TestDispatchSubprocessWorkers(t *testing.T) {
 			fmt.Sprintf("DISPATCH_TEST_NAME=sub%d", i),
 		)
 		if i == 0 {
-			cmd.Env = append(cmd.Env, "DISPATCH_TEST_FAULT=crash@3")
+			// Inside worker 0's first 2-cell unit, so the crash fires on
+			// every run (see TestDispatchFaultMatrix).
+			cmd.Env = append(cmd.Env, "DISPATCH_TEST_FAULT=crash@1")
 		}
 		tr, err := SpawnWorker(fmt.Sprintf("sub%d", i), cmd)
 		if err != nil {

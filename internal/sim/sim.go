@@ -2,43 +2,46 @@
 // AS[n,t] of the paper: n processes that communicate over reliable but
 // arbitrarily slow channels, of which at most t may crash.
 //
-// Processes run as goroutines, but execution is lockstep and sequential:
-// a central scheduler (the "adversary") advances a virtual clock; on each
-// tick it applies scheduled crashes, delivers up to Bandwidth in-flight
-// messages chosen uniformly at random (seeded), and then wakes — one at a
-// time, in identity order — exactly the processes whose wait condition is
-// due (a new message, or a declared wake time reached; see Env.StepUntil).
-// The scheduler only proceeds once the woken process has parked again, so
-// a run is a deterministic function of its Config: same seed, same
-// delivery order, same process steps, same result. Arbitrary-but-finite
-// message delays and arbitrary crash patterns — exactly the adversary the
-// asynchronous model quantifies over — are thus sampled reproducibly.
+// Each process runs as a coroutine, and execution is lockstep and
+// sequential: a central scheduler (the "adversary") advances a virtual
+// clock; on each tick it applies scheduled crashes, delivers up to
+// Bandwidth in-flight messages chosen uniformly at random (seeded), and
+// then wakes — one at a time, in identity order — exactly the processes
+// whose wait condition is due (a new message, or a declared wake time
+// reached; see Env.StepUntil). The scheduler only proceeds once the
+// woken process has parked again, so a run is a deterministic function
+// of its Config: same seed, same delivery order, same process steps,
+// same result. Arbitrary-but-finite message delays and arbitrary crash
+// patterns — exactly the adversary the asynchronous model quantifies
+// over — are thus sampled reproducibly.
 //
 // # Concurrency contract
 //
-// Exactly one goroutine runs at any instant: whoever holds the run
-// token. The token moves over unbuffered channels, and it moves
-// directly — a parking process dispatches the next due process itself
-// (one goroutine switch per wake, zero when it dispatches itself), and
-// when the due set is empty the parking process runs the next tick's
-// scheduler phases (crashes, deliveries, samplers, clock advance) on
-// its own stack. There is no scheduler goroutine in the steady-state
-// loop: Run's goroutine launches the processes, hands the token into
-// the system and blocks until the run ends. No mutexes, no
-// condition-variable broadcasts, no lock convoys, no middleman hop.
-// All simulation state (network queues, inboxes, park bits, deadlines,
+// Exactly one of a run's goroutines runs at any instant: whoever holds
+// the run token. Each process main is an iter.Pull coroutine, and one
+// dispatch loop in Run drives them: it resumes the first due process
+// and runs until that process yields back to it. A parking process
+// runs the next tick's scheduler phases (crashes, deliveries, samplers,
+// clock advance) on its own stack while nothing is due; if it is then
+// the first due process it keeps running (zero switches per wake),
+// otherwise it yields to the loop, which resumes the process that is
+// due (two coroutine switches). An in-run crash or the final teardown
+// stops a parked coroutine, which unwinds synchronously. No channels,
+// no mutexes, no extra goroutines beside the coroutines. All
+// simulation state (network queues, inboxes, park bits, deadlines,
 // metrics counters) is owned by the run token and accessed without
-// locks; the channel handoffs provide the happens-before edges, and
+// locks; the coroutine switches provide the happens-before edges, and
 // -race verifies the claim.
 //
 // The thin surface that IS safe to touch from other goroutines while a
 // run is in progress: Now (atomic), WakeAt (locked), InFlight (atomic).
 // Everything else — including Metrics reads and Env.Crashed — must be
 // called with the run token (process mains, stop predicates, OnTick /
-// OnAdvance samplers) or after Run has returned, which joins every
-// process goroutine and so publishes all state. Stop predicates and
-// samplers execute on whatever goroutine holds the token at that tick;
-// they must not assume a fixed goroutine identity.
+// OnAdvance samplers) or after Run has returned, which has finished
+// every process coroutine and so publishes all state. Stop predicates
+// and samplers execute on whichever stack holds the token at that tick
+// — a process coroutine's or Run's own; they must not assume a fixed
+// goroutine identity.
 //
 // Undeliverable stretches of virtual time are skipped: when no message is
 // eligible, no process wake is due and no crash or hold release falls in
@@ -48,13 +51,14 @@
 // anything can happen.
 //
 // Crash semantics: once a process is crashed, its next interaction with
-// the environment unwinds its goroutine (an internal sentinel panic that
+// the environment unwinds its coroutine (an internal sentinel panic that
 // never escapes the package). A crashed process therefore takes no
 // further observable step, as in the model.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -281,8 +285,8 @@ func (fp *Pattern) Faulty() ids.Set {
 //
 // Field ownership follows the package's concurrency contract: unless a
 // field is explicitly marked atomic or locked below, it is run-token
-// state — accessed only by the scheduler goroutine or by the single
-// running process, which the yield/resume handoff serializes.
+// state — accessed only by the dispatch loop or by the single running
+// process, which the coroutine switches serialize.
 type System struct {
 	cfg     Config
 	pattern *Pattern
@@ -299,23 +303,11 @@ type System struct {
 	// branch per instrumented site.
 	rec *trace.Recorder
 
-	// yield returns the run token to Run's goroutine: during the launch
-	// phase after each process's first park, and once at the end of the
-	// run. Run is its only receiver. reapAck is the separate return path
-	// of the kill handshake: an unwinding process sends one token, the
-	// killAt or teardown caller that resumed it receives it (a shared
-	// channel would let the two rendezvous cross).
-	yield   chan struct{}
-	reapAck chan struct{}
-
-	// Token-protocol state. running is false during launch (parks yield
-	// to Run) and true while the token circulates; reaping marks a kill
-	// handshake in flight (the unwinding process acks on reapAck instead
-	// of dispatching). due is the set of processes selected to wake this
-	// tick and not yet dispatched; stoppedEarly / ended record how the
-	// run finished.
+	// Token-protocol state. running is false during launch (parks
+	// yield straight back to launch) and true while the dispatch loop
+	// runs. due is the set of processes selected to wake this tick and
+	// not yet resumed; stoppedEarly / ended record how the run finished.
 	running      bool
-	reaping      bool
 	due          pset
 	stop         func() bool
 	stoppedEarly bool
@@ -402,19 +394,17 @@ type System struct {
 	//detlint:allow runtoken -- mirrors the WakeAt hint list's length across threads
 	hintLen atomic.Int32
 
-	//detlint:allow runtoken -- Run joins the process goroutines at teardown, publishing all run state
-	wg        sync.WaitGroup
 	ran       bool
 	onTick    []func(Time)
 	onAdvance []func(Time)
 
-	// First protocol panic, recorded by the unwinding process goroutine
+	// First protocol panic, recorded by the unwinding process coroutine
 	// (which holds the run token) and re-raised from Run.
 	panicVal any
 	panicked bool
 }
 
-// OnTick registers fn to run on the scheduler goroutine once per tick,
+// OnTick registers fn to run with the run token once per tick,
 // after deliveries, before processes observe the tick. Registering any
 // OnTick callback makes the clock dense: no tick is ever skipped, so
 // samplers may match exact tick values. Must be called before Run.
@@ -487,8 +477,6 @@ func New(cfg Config) (*System, error) {
 		src:     rand.NewSource(cfg.Seed).(rand.Source64),
 		metrics: newMetrics(),
 		held:    make(map[Time][]envelope),
-		yield:   make(chan struct{}),
-		reapAck: make(chan struct{}),
 	}
 	s.pw = pwords(cfg.N)
 	s.deadlines = make([]Time, cfg.N+1)
@@ -577,7 +565,7 @@ func (s *System) Metrics() *Metrics { return s.metrics }
 func (s *System) Env(p ids.ProcID) *Env { return &Env{p: s.procs[p]} }
 
 // Spawn registers main as the protocol code of process p. It must be
-// called before Run. The main runs on its own goroutine; it is unwound
+// called before Run. The main runs as its own coroutine; it is unwound
 // when p crashes or the run stops, and may also return on its own.
 //
 // Mains must block through Env (Step, StepUntil, WaitUntil) to let the
@@ -610,13 +598,12 @@ type Report struct {
 	Messages MetricsSnapshot
 }
 
-// launch starts process p's goroutine and blocks until it hands the run
-// token back (first park, or exit). Only used before running is set, so
-// the park and exit paths yield straight to Run's goroutine.
+// launch starts process p as a coroutine and runs it to its first park
+// (or exit). Only used before running is set, so that park yields
+// straight back here.
 func (s *System) launch(p *Proc) {
-	s.wg.Add(1)
-	//detlint:allow runtoken -- the one sanctioned goroutine spawn: each process main runs on its own goroutine, serialized by the run token
-	go func() {
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.park = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilled); !ok && !s.panicked {
@@ -625,106 +612,72 @@ func (s *System) launch(p *Proc) {
 					s.panicVal = r
 				}
 			}
-			p.exited = true
 			// A panic can unwind out of StepUntil after the process
 			// published its park bit (e.g. a stop predicate or sampler
 			// panicking inside the tick phases this process was running):
-			// clear it, or teardown would try to resume a goroutine that
-			// no longer exists.
+			// clear it, or the process would still look parked.
 			s.parkedSet.clear(p.id)
-			s.releaseToken()
-			s.wg.Done()
+			s.inboxDue.clear(p.id)
 		}()
 		p.main(&Env{p: p})
-	}()
-	<-s.yield
+	})
+	p.resume()
 }
 
-// releaseToken passes the run token onward from a process goroutine that
-// is done running — it parked inside dispatch instead; this is the exit
-// path (main returned, crash unwind, protocol panic).
-func (s *System) releaseToken() {
-	switch {
-	case s.reaping:
-		// A killAt or teardown handshake: ack the caller that resumed us.
-		s.reapAck <- struct{}{}
-	case !s.running:
-		// Launch phase: the token goes straight back to Run.
-		s.yield <- struct{}{}
-	default:
-		s.dispatch(nil)
-	}
+// claim takes process id off the due set and the park bits: it is the
+// next to run.
+func (s *System) claim(id ids.ProcID) {
+	s.due.clear(id)
+	s.parkedSet.clear(id)
+	s.inboxDue.clear(id)
 }
 
-// dispatch passes the run token to the next due process — running the
-// tick phases right here, on the caller's stack, whenever the due set
-// is empty. self is the calling (parking) process, nil on the exit
-// path. It returns true when the caller itself is the next due process:
-// the caller keeps the token and keeps running, zero switches. When it
-// returns false the token is gone and the caller must block on its
-// resume channel (or exit).
-func (s *System) dispatch(self *Proc) bool {
-	for {
-		if s.panicked || s.ended {
-			s.ended = true
-			s.yield <- struct{}{} // the run is over: token home to Run
-			return false
-		}
+// keepRunning is the parking process's zero-switch path: it runs the
+// tick phases on self's own stack while nothing is due, and returns
+// true when self is the next due process — it claims its own wake and
+// keeps running. On false (another process is due, or the run is over)
+// self yields to the dispatch loop in schedule.
+func (s *System) keepRunning(self *Proc) bool {
+	for !s.panicked && !s.ended {
 		if id := s.due.first(s.pw); id != ids.None {
-			s.due.clear(id)
-			s.parkedSet.clear(id)
-			s.inboxDue.clear(id)
-			p := s.procs[id]
-			if p == self {
-				return true
+			if id != self.id {
+				return false
 			}
-			p.resume <- struct{}{}
-			return false
+			s.claim(id)
+			return true
 		}
 		if s.tick(self) {
 			s.ended = true
 		}
 	}
+	return false
 }
 
 // killAt applies an in-run crash: the process is marked dead and, if it
-// was parked, resumed so its goroutine unwinds — and acks on reapAck —
-// before the tick proceeds. A process crashing at the very tick it is
-// running the phases for (p == self) is only marked: it unwinds at its
-// next Env call, before taking any protocol step.
+// is parked, stopped — its coroutine unwinds, running its deferred
+// functions, before the tick proceeds. A process crashing at the very
+// tick it is running the phases for (p == self) is only marked: it
+// unwinds at its next Env call, before taking any protocol step.
 func (s *System) killAt(p, self *Proc) {
 	p.dead = true
-	if p == self {
-		return
+	if p != self && s.parkedSet.has(p.id) {
+		p.stop()
 	}
-	if s.parkedSet.has(p.id) {
-		s.reap(p)
-	}
-}
-
-// reap unwinds one parked process synchronously: resume it, let its
-// goroutine run the crash unwind, receive the reapAck token back.
-func (s *System) reap(p *Proc) {
-	if p.exited {
-		return // its goroutine is gone; nothing to unwind
-	}
-	s.parkedSet.clear(p.id)
-	s.inboxDue.clear(p.id)
-	s.reaping = true
-	p.resume <- struct{}{}
-	<-s.reapAck
-	s.reaping = false
 }
 
 // Run executes the system: it starts every registered main, then drives
 // the scheduler until stop() returns true or MaxSteps elapse, and finally
-// tears everything down, joining all process goroutines. stop may be nil
-// (run to MaxSteps) and must be safe to call from the scheduler goroutine.
+// tears everything down, stopping every process coroutine. stop may be
+// nil (run to MaxSteps); like samplers, it runs on whichever stack holds
+// the run token at that tick.
 func (s *System) Run(stop func() bool) Report {
 	if s.ran {
 		panic("sim: Run called twice")
 	}
 	s.ran = true
+	// A stop predicate or sampler panicking on this stack (no process
+	// running the tick) must not leave the coroutines suspended.
+	defer s.teardown()
 
 	for i := 1; i <= s.cfg.N; i++ {
 		p := s.procs[i]
@@ -739,16 +692,7 @@ func (s *System) Run(stop func() bool) Report {
 	}
 
 	stoppedEarly := s.schedule(stop)
-
-	// Tear down: unwind every parked process goroutine, then join them.
-	for i := 1; i <= s.cfg.N; i++ {
-		p := s.procs[i]
-		p.dead = true
-		if s.parkedSet.has(p.id) {
-			s.reap(p)
-		}
-	}
-	s.wg.Wait()
+	s.teardown()
 
 	if s.panicked {
 		panic(s.panicVal)
@@ -761,36 +705,40 @@ func (s *System) Run(stop func() bool) Report {
 	}
 }
 
-// schedule hands the run token into the system from Run's goroutine and
-// takes it back when the run is over. Run's goroutine only runs ticks
-// itself while no process is due (e.g. a run with no spawned mains);
-// as soon as a process is dispatched, the token circulates process to
-// process and Run just waits for it to come home.
-func (s *System) schedule(stop func() bool) bool {
-	s.stop = stop
-	s.running = true
-	for {
-		if s.panicked || s.ended {
-			return s.stoppedEarly
-		}
-		if id := s.due.first(s.pw); id != ids.None {
-			s.due.clear(id)
-			s.parkedSet.clear(id)
-			s.inboxDue.clear(id)
-			s.procs[id].resume <- struct{}{}
-			<-s.yield // token comes home only when the run ends
-			return s.stoppedEarly
-		}
-		if s.tick(nil) {
-			return s.stoppedEarly
+// teardown unwinds every process still suspended; stopping a finished
+// coroutine is a no-op, so it may run twice.
+func (s *System) teardown() {
+	for i := 1; i <= s.cfg.N; i++ {
+		p := s.procs[i]
+		p.dead = true
+		if p.stop != nil {
+			p.stop()
 		}
 	}
 }
 
+// schedule is the dispatch loop: it resumes the first due process, which
+// runs — through any number of its own zero-switch wakes — until it
+// yields back here or exits, and runs the tick phases itself only while
+// no process is due (e.g. a run with no spawned mains).
+func (s *System) schedule(stop func() bool) bool {
+	s.stop = stop
+	s.running = true
+	for !s.panicked && !s.ended {
+		if id := s.due.first(s.pw); id != ids.None {
+			s.claim(id)
+			s.procs[id].resume()
+		} else if s.tick(nil) {
+			s.ended = true
+		}
+	}
+	return s.stoppedEarly
+}
+
 // tick runs one scheduled tick's phases — stop checks, crashes,
 // deliveries, samplers, clock advance, due-set computation — on the
-// token holder's stack (self is the calling process, nil from Run's
-// goroutine). It returns true when the run is over.
+// token holder's stack (self is the calling process, nil from the
+// dispatch loop). It returns true when the run is over.
 func (s *System) tick(self *Proc) bool {
 	now := s.Now()
 	if now >= s.cfg.MaxSteps {
@@ -1204,7 +1152,7 @@ func (s *System) nextTime(now Time) Time {
 }
 
 // send enqueues a message into the network. Called from process
-// goroutines, which hold the run token — so the queues need no lock.
+// mains, which hold the run token — so the queues need no lock.
 // send owns the SentAt stamp: it is set here, at acceptance time, and
 // nowhere else; sends from an already-crashed process are refused, so
 // every accepted message satisfies SentAt < crash time of its sender.

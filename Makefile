@@ -4,10 +4,14 @@
 #   make lint        detlint: machine-check the determinism contracts
 #   make test        plain unit tests
 #   make smoke       short parallel sweep through cmd/experiments
-#   make dispatch-smoke  suite through sweepd with a worker crash, diffed vs golden
 #   make examples    go run every runnable example (drift gate)
 #   make bench       benchmarks (5 counts) + sweep wall time → $(BENCH_OUT)
 #   make bench-gate  scheduler micro-benchmarks vs the committed baseline
+#
+# The suite fans out one way: `experiments -shard i/m -report …` per
+# shard, then `experiments -merge -golden …` over the shard files (CI's
+# sweep jobs; TestShardMergeMatchesUnsharded runs the same path
+# in-process).
 #
 # BENCH_OUT names the committed benchmark record; override it when
 # cutting a new baseline (e.g. `make bench BENCH_OUT=BENCH_PR4.json`).
@@ -15,9 +19,9 @@
 GO ?= go
 BENCH_OUT ?= BENCH_PR7.json
 
-.PHONY: ci vet lint build test race smoke dispatch-smoke examples bench bench-smoke bench-gate clean
+.PHONY: ci vet lint build test race smoke examples bench bench-smoke bench-gate clean
 
-ci: vet build race smoke dispatch-smoke examples
+ci: vet build race smoke examples
 
 # detlint machine-checks the determinism and run-token ownership
 # contracts (docs/ARCHITECTURE.md, "Enforced invariants"): wall-clock
@@ -56,23 +60,6 @@ smoke: build
 		echo "smoke sweep has FAILED verdicts:"; grep -B1 "FAILED" /tmp/fdgrid-smoke.md; exit 1; \
 	fi
 	@echo "smoke sweep clean: /tmp/fdgrid-smoke.md"
-
-# Dispatch smoke: the fault-tolerance path end to end. Export the full
-# suite's matrix specs, run them through sweepd with a 3-subprocess
-# worker fleet while the fault injector crashes worker 0 after its 5th
-# cell, and byte-compare the merged report against the committed suite
-# golden — the dispatcher's suspicion, retries and re-sharding must
-# provably lose nothing. The stats artifact (retries, workers lost,
-# duplicates discarded) is printed for the log but never byte-compared.
-dispatch-smoke: build
-	$(GO) build -o /tmp/fdgrid-sweepd ./cmd/sweepd
-	$(GO) run ./cmd/experiments -seeds 3 -matrices /tmp/fdgrid-suite-spec.json
-	/tmp/fdgrid-sweepd -matrices /tmp/fdgrid-suite-spec.json -workers 3 -units 8 \
-		-fault "0:crash@5" -suspect 2s \
-		-report /tmp/fdgrid-suite-dispatched.json \
-		-stats /tmp/fdgrid-dispatch-stats.json \
-		-golden cmd/experiments/testdata/suite.golden.json
-	@cat /tmp/fdgrid-dispatch-stats.json
 
 # Examples smoke: run every example binary end to end so example drift
 # (an API change the examples were not updated for, a run that starts

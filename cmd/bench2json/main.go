@@ -1,6 +1,6 @@
 // Command bench2json converts `go test -bench` text output plus
 // cmd/experiments sweep timings into the committed benchmark record
-// (BENCH_PR3.json by default, via the Makefile's BENCH_OUT): per-
+// (BENCH_PR7.json by default, via the Makefile's BENCH_OUT): per-
 // benchmark ns/op samples (benchstat-compatible — the raw lines are
 // carried verbatim) and custom metrics (vticks/run, msgs/run, …), plus
 // the wall time of the full experiment sweep.
@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	bench2json -bench bench.txt -sweep sweep.txt -out BENCH_PR3.json
+//	bench2json -bench bench.txt -sweep sweep.txt -out BENCH_PR7.json
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 	var (
 		bench   = flag.String("bench", "", "go test -bench output file")
 		sweep   = flag.String("sweep", "", "cmd/experiments output file (wall-time lines)")
-		out     = flag.String("out", "BENCH_PR3.json", "output JSON file")
+		out     = flag.String("out", "BENCH_PR7.json", "output JSON file")
 		note    = flag.String("note", "", "free-form note recorded in the file")
 		machine = flag.String("machine", "", "machine description recorded in the file")
 	)

@@ -15,7 +15,7 @@
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_PR3.json -bench fresh.txt [-match 'BenchmarkScheduler'] [-threshold 0.25]
+//	benchgate -baseline BENCH_PR7.json -bench fresh.txt [-match 'BenchmarkScheduler'] [-threshold 0.25]
 package main
 
 import (
@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "BENCH_PR3.json", "committed benchmark record")
+		baselinePath = flag.String("baseline", "BENCH_PR7.json", "committed benchmark record")
 		benchPath    = flag.String("bench", "", "fresh `go test -bench` output file")
 		match        = flag.String("match", "BenchmarkScheduler", "regexp selecting the gated benchmarks")
 		threshold    = flag.Float64("threshold", 0.25, "maximum tolerated median ns/op regression (0.25 = +25%)")

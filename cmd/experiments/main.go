@@ -8,19 +8,14 @@
 // The suite also shards: `-shard i/m` runs only every m-th cell of
 // every matrix and writes a partial JSON suite; m such runs recombine
 // with `-merge` into bytes identical to the unsharded `-report` output.
-// That is how CI fans the sweep out across jobs. `-dispatch N` goes the
-// rest of the way: the suite runs through the internal/dispatch
-// scheduler across N subprocess workers (self-exec'd copies of this
-// binary), with the merged report still byte-identical; `-matrices`
-// exports the suite's matrices in the JSON form cmd/sweepd consumes.
+// This is the suite's one fan-out path: CI runs it across jobs, and the
+// same invocations split a sweep across machines.
 //
 // Usage:
 //
 //	experiments [-out EXPERIMENTS.md] [-seeds 3] [-workers N] [-report sweep.json]
 //	experiments -shard i/m -report shard-i.json        # one shard, no markdown
 //	experiments -merge -report merged.json shard-*.json
-//	experiments -dispatch 3 -report suite.json         # distributed, no markdown
-//	experiments -matrices suite-spec.json              # export matrices for sweepd
 //	experiments ... -golden suite.golden.json          # byte-compare the suite
 //	experiments ... -cpuprofile cpu.prof -memprofile mem.prof
 //	experiments -replay MATRIX:INDEX                   # trace one suite cell
@@ -32,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -44,7 +38,6 @@ import (
 	"fdgrid/internal/benchrec"
 	"fdgrid/internal/cliutil"
 	"fdgrid/internal/core"
-	"fdgrid/internal/dispatch"
 	"fdgrid/internal/ids"
 	"fdgrid/internal/sim"
 	"fdgrid/internal/sweep"
@@ -67,38 +60,12 @@ func main() {
 		replay    = flag.String("replay", "", "re-run one suite cell with decision tracing on (format \"MATRIX:INDEX\"); skips the suite")
 		perturb   = flag.String("perturb", "", "with -replay: one counterfactual edit (\"gst±K\", \"stab±K\", \"crash=P@T\", \"hold[I]±K\") applied to a second run, diffed against the first")
 		traceLvl  = flag.String("trace", "", "with -replay: trace level (\"decisions\" or \"full\"; default decisions)")
-		matricesF = flag.String("matrices", "", "write the suite's matrices as a JSON array here (sweepd's input format) and exit without running anything")
-		dispatchN = flag.Int("dispatch", 0, "run the suite through the distributed dispatcher with this many subprocess workers; requires -report and skips the markdown output")
-		wkStdio   = flag.Bool("worker-stdio", false, "internal: run as a stdio dispatch worker (the -dispatch mode spawns these)")
 	)
 	flag.Parse()
 
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	if *wkStdio {
-		if err := dispatch.ServeWorker(dispatch.Stdio{}, dispatch.WorkerOptions{
-			Name: "experiments-worker",
-			Pool: *workers,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *matricesF != "" {
-		ms := suiteMatrices(*seeds)
-		blob, err := json.MarshalIndent(ms, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*matricesF, blob, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d matrices)\n", *matricesF, len(ms))
-		return
 	}
 
 	if *replay != "" {
@@ -126,16 +93,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("merged %d shard suites into %s (%d bytes)\n", len(flag.Args()), *report, len(suite))
-		return
-	}
-
-	if *dispatchN > 0 {
-		if *report == "" {
-			fatal(fmt.Errorf("experiments: -dispatch requires -report (the dispatched suite has no markdown output)"))
-		}
-		if err := runDispatched(*dispatchN, *seeds, *workers, *report, *golden, *verbose); err != nil {
-			fatal(err)
-		}
 		return
 	}
 
@@ -174,7 +131,7 @@ func main() {
 		cells += len(r.Cells)
 	}
 	if *report != "" {
-		suite, err := suiteJSON(reports)
+		suite, err := sweep.SuiteJSON(reports)
 		if err != nil {
 			fatal(err)
 		}
@@ -424,70 +381,6 @@ func parseReplaySpec(spec string) (string, int, error) {
 	return spec[:i], index, nil
 }
 
-// suiteJSON renders the suite: a JSON array of the canonical per-matrix
-// reports. The merge path and the sweepd dispatcher reproduce these
-// bytes exactly — all three go through sweep.SuiteJSON.
-func suiteJSON(reports []*sweep.Report) ([]byte, error) {
-	return sweep.SuiteJSON(reports)
-}
-
-// runDispatched runs the whole suite through the distributed
-// dispatcher: n subprocess workers (self-exec'd with -worker-stdio),
-// merged output written to reportPath and optionally diffed against a
-// golden — byte-identical to the unsharded run by construction.
-func runDispatched(n, seeds, pool int, reportPath, golden string, verbose bool) error {
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	// Split the machine between the workers rather than oversubscribing
-	// it n×: each subprocess gets an equal slice of the pool unless the
-	// user pinned -workers explicitly.
-	if pool == 0 {
-		pool = runtime.GOMAXPROCS(0) / n
-		if pool < 1 {
-			pool = 1
-		}
-	}
-	fleet := make([]dispatch.Transport, 0, n)
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(exe, "-worker-stdio", "-workers", strconv.Itoa(pool))
-		cmd.Stderr = os.Stderr
-		tr, err := dispatch.SpawnWorker(fmt.Sprintf("exp%d", i), cmd)
-		if err != nil {
-			return err
-		}
-		fleet = append(fleet, tr)
-	}
-	cfg := dispatch.Config{
-		Matrices:      suiteMatrices(seeds),
-		Speculate:     true,
-		LocalFallback: true,
-		LocalPool:     pool,
-	}
-	if verbose {
-		cfg.Logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	start := time.Now()
-	reports, stats, err := dispatch.Run(cfg, fleet)
-	if err != nil {
-		return err
-	}
-	suite, err := suiteJSON(reports)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(reportPath, suite, 0o644); err != nil {
-		return err
-	}
-	if err := compareGolden(suite, golden); err != nil {
-		return err
-	}
-	fmt.Printf("dispatched %d matrices (%d units, %d cells) across %d workers (%d retries, %d lost, %.2fs)\n",
-		len(reports), stats.Units, stats.Cells, n, stats.Retries, stats.WorkersLost, time.Since(start).Seconds())
-	return nil
-}
-
 // mergeSuites reads shard suite files (each a JSON array of shard
 // reports, one per matrix, in suite order) and recombines them into the
 // unsharded suite bytes.
@@ -521,7 +414,7 @@ func mergeSuites(paths []string) ([]byte, error) {
 		}
 		merged[j] = r
 	}
-	return suiteJSON(merged)
+	return sweep.SuiteJSON(merged)
 }
 
 // compareGolden byte-compares suite bytes against a golden file (no-op

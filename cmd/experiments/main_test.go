@@ -35,7 +35,7 @@ func buildSuiteJSON(t *testing.T, seeds int, opts sweep.Options) ([]byte, []*swe
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite, err := suiteJSON(reports)
+	suite, err := sweep.SuiteJSON(reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +70,20 @@ func TestSuiteGolden(t *testing.T) {
 }
 
 // TestShardMergeMatchesUnsharded drives the CI pipeline in-process:
-// every shard runs independently, the partial suites travel through
-// files, and the merge reproduces the unsharded bytes.
+// every shard runs independently at the golden seed count, the partial
+// suites travel through files, and the merge must reproduce the
+// committed golden — the unsharded bytes TestSuiteGolden pins — so the
+// suite's one fan-out path provably loses nothing.
 func TestShardMergeMatchesUnsharded(t *testing.T) {
-	const seeds = 2 // smaller than the golden run: this test checks the pipeline, not the values
-	want, _ := buildSuiteJSON(t, seeds, sweep.Options{})
-
+	want, err := os.ReadFile(goldenPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	const count = 3
 	dir := t.TempDir()
 	paths := make([]string, count)
 	for i := 0; i < count; i++ {
-		suite, _ := buildSuiteJSON(t, seeds, sweep.Options{Shard: sweep.Shard{Index: i, Count: count}})
+		suite, _ := buildSuiteJSON(t, goldenSeeds, sweep.Options{Shard: sweep.Shard{Index: i, Count: count}})
 		paths[i] = filepath.Join(dir, "shard-"+string(rune('0'+i))+".json")
 		if err := os.WriteFile(paths[i], suite, 0o644); err != nil {
 			t.Fatal(err)
@@ -91,7 +94,7 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("merged shard suites differ from the unsharded run")
+		t.Fatalf("merged shard suites differ from the unsharded golden (got %d bytes, want %d)", len(got), len(want))
 	}
 }
 

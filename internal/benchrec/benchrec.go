@@ -1,5 +1,5 @@
 // Package benchrec defines the on-disk layout of the committed
-// benchmark record (BENCH_PR3.json) and the parser for `go test -bench`
+// benchmark record (BENCH_PR7.json) and the parser for `go test -bench`
 // text output. cmd/bench2json writes the record, cmd/experiments
 // renders it (the EXP-PERF section) and cmd/benchgate gates CI on it,
 // so the schema and parser live here, shared, rather than drifting

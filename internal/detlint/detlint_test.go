@@ -224,16 +224,16 @@ func TestScopes(t *testing.T) {
 		{"wallclock", "internal/sim", true, true},
 		{"wallclock", "cmd/experiments", true, false},
 		{"wallclock", "internal/benchrec", true, false},
-		{"wallclock", "internal/dispatch", true, false},
-		{"wallclock", "cmd/sweepd", true, false},
+		{"wallclock", "internal/cliutil", true, false},
+		{"wallclock", "cmd/benchgate", true, false},
 		{"globalrand", "internal/sweep", true, true},
-		{"globalrand", "internal/dispatch", true, false},
+		{"globalrand", "internal/cliutil", true, false},
 		{"runtoken", "internal/fd", true, true},
 		{"runtoken", "cmd/detlint", true, false},
-		{"runtoken", "internal/dispatch", true, false},
+		{"runtoken", "internal/cliutil", true, false},
 		{"maporder", "cmd/experiments", true, true},
-		{"maporder", "internal/dispatch", true, true},
-		{"maporder", "cmd/sweepd", true, true},
+		{"maporder", "internal/cliutil", true, true},
+		{"maporder", "cmd/benchgate", true, true},
 		{"maporder", "examples/quickstart", true, true},
 		{"maporder", "", true, true}, // the module root package
 		{"tracecanon", "internal/trace", true, true},

@@ -39,9 +39,9 @@ var deterministicPkgs = map[string]bool{
 
 // hostSidePkgs is the explicit complement of the deterministic scope
 // under internal/: packages that run on the host side of the
-// determinism boundary, where wall-clock timeouts, goroutines and real
-// I/O are the point (dispatch's suspector literally measures silence
-// in wall time) and the deterministic-scope rules do not apply.
+// determinism boundary, where wall-clock reads, goroutines and real
+// I/O are allowed (benchmark parsing, terminal output, the linter's own
+// toolchain calls) and the deterministic-scope rules do not apply.
 // maporder still covers them via ScopeModule — canonical bytes must
 // not leak map order no matter which side produced them.
 //
@@ -52,7 +52,6 @@ var hostSidePkgs = map[string]bool{
 	"internal/benchrec": true, // benchmark-record parsing, never inside a run
 	"internal/cliutil":  true, // terminal table rendering
 	"internal/detlint":  true, // this linter: shells out to the go toolchain
-	"internal/dispatch": true, // distributed dispatcher: heartbeats, suspicion timeouts, worker I/O
 }
 
 // registered returns the analyzer with the given rule name, nil if

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -85,22 +84,12 @@ type Options struct {
 	// Shard restricts the run to one deterministic slice of the cells
 	// (zero value: run all).
 	Shard Shard
-	// Context, when non-nil, bounds the run: once it is cancelled the
-	// pool stops taking new cells (cells already running finish — a
-	// cell is a deterministic unit and is never interrupted mid-run),
-	// every worker goroutine exits, and Run returns the completed
-	// cells plus the context's error. The partial report is internally
-	// consistent (tallies cover exactly the returned cells) but which
-	// cells completed is scheduling-dependent — a cancelled run is an
-	// abort path, not a canonical artifact.
-	Context context.Context
 	// OnResult, when set, is called once per completed cell as it
 	// finishes, before Run returns. Calls arrive concurrently from the
 	// pool workers and in completion order (scheduling-dependent); the
 	// callback must be safe for concurrent use. The report itself stays
-	// index-ordered and deterministic regardless. This is the streaming
-	// hook the distributed dispatcher's workers use to ship CellResults
-	// over the wire as they land.
+	// index-ordered and deterministic regardless. suitebench's per-cell
+	// trace uses it to record each cell's span as it lands.
 	OnResult func(CellResult)
 }
 
@@ -116,9 +105,6 @@ func (o Options) workers() int {
 // result slice is ordered by cell index, so the aggregated report is
 // identical whatever the worker count. A panicking cell (a protocol bug)
 // is contained and reported as an errored cell, not a crashed sweep.
-// When opt.Context is cancelled mid-run, Run returns the partial report
-// of the cells that completed together with the context's error — the
-// one case where a non-nil error comes with a non-nil report.
 func Run(m Matrix, opt Options) (*Report, error) {
 	all, err := m.Cells()
 	if err != nil {
@@ -151,10 +137,6 @@ func Run(m Matrix, opt Options) (*Report, error) {
 	//detlint:allow wallclock -- sweep report timing: WallNS is json:"-" and never reaches canonical bytes
 	start := time.Now()
 	results := make([]CellResult, len(cells))
-	// completed[i] is written only by the worker that ran cell i and
-	// read after wg.Wait (which publishes it); with no Context every
-	// cell completes and the slice is all-true.
-	completed := make([]bool, len(cells))
 	// Lock-free work distribution: Add hands each worker a distinct
 	// index. Which worker runs which cell stays scheduling-dependent —
 	// but results[i] is written only by the worker that took i, and the
@@ -162,16 +144,6 @@ func Run(m Matrix, opt Options) (*Report, error) {
 	// deterministic regardless.
 	//detlint:allow runtoken -- the worker pool's lock-free work counter; host-side, outside any run
 	var next atomic.Int64
-	take := func() int {
-		if opt.Context != nil && opt.Context.Err() != nil {
-			return -1
-		}
-		i := int(next.Add(1)) - 1
-		if i >= len(cells) {
-			return -1
-		}
-		return i
-	}
 
 	workers := opt.workers()
 	if workers > len(cells) {
@@ -185,12 +157,11 @@ func Run(m Matrix, opt Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := take()
-				if i < 0 {
+				i := int(next.Add(1)) - 1
+				if i >= len(cells) {
 					return
 				}
 				results[i] = runCell(runner, &cells[i])
-				completed[i] = true
 				if opt.OnResult != nil {
 					opt.OnResult(results[i])
 				}
@@ -199,34 +170,10 @@ func Run(m Matrix, opt Options) (*Report, error) {
 	}
 	wg.Wait()
 
-	var runErr error
-	if opt.Context != nil && opt.Context.Err() != nil {
-		// Cancelled: keep the completed prefix only, in index order.
-		runErr = opt.Context.Err()
-		kept := results[:0]
-		for i := range results {
-			if completed[i] {
-				kept = append(kept, results[i])
-			}
-		}
-		results = kept
-	}
-
 	//detlint:allow wallclock -- sweep report timing: WallNS is json:"-" and never reaches canonical bytes
 	rep := &Report{Matrix: m, Cells: results, Shard: shardMeta, WallNS: time.Since(start).Nanoseconds()}
-	for i := range results {
-		switch results[i].Verdict {
-		case Pass:
-			rep.Passed++
-		case Fail:
-			rep.Failed++
-		case ConfigError:
-			rep.ConfigErrors++
-		default:
-			rep.Errored++
-		}
-	}
-	return rep, runErr
+	rep.tally()
+	return rep, nil
 }
 
 // runCell executes one cell, containing panics as errored results.

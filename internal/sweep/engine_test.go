@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -166,5 +167,38 @@ func TestWallClockExcludedFromCanonicalBytes(t *testing.T) {
 		if c.WallNS <= 0 {
 			t.Fatalf("cell %d did not record wall-clock cost", c.Index)
 		}
+	}
+}
+
+// TestOnResultStreamsEveryCell: the OnResult hook sees each completed
+// cell exactly once, and the report is unaffected by the hook.
+func TestOnResultStreamsEveryCell(t *testing.T) {
+	m := smokeMatrix()
+	var mu sync.Mutex
+	seen := map[int]int{}
+	r, err := Run(m, Options{Workers: 3, OnResult: func(c CellResult) {
+		mu.Lock()
+		seen[c.Index]++
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(r.Cells) {
+		t.Fatalf("OnResult saw %d cells, report has %d", len(seen), len(r.Cells))
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("cell %d streamed %d times", i, n)
+		}
+	}
+	plain, err := Run(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := plain.CanonicalJSON()
+	got, _ := r.CanonicalJSON()
+	if !bytes.Equal(got, want) {
+		t.Fatal("OnResult changed the canonical report")
 	}
 }

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -200,5 +202,44 @@ func TestRunUnknownProtocol(t *testing.T) {
 		Seeds: []int64{0}, Sizes: []Size{{N: 3, T: 1}}, MaxSteps: 100}
 	if _, err := Run(m, Options{}); err == nil {
 		t.Fatal("Run accepted an unknown protocol")
+	}
+}
+
+// TestMatrixJSONRoundTrip: a Matrix decoded from its JSON form — the
+// form -merge and suitebench read back out of suite reports — carries
+// the same bytes and expands to the same cells.
+func TestMatrixJSONRoundTrip(t *testing.T) {
+	m := Matrix{
+		Name: "rt", Protocol: "kset-omega",
+		Seeds: []int64{0, 1}, Sizes: []Size{{N: 5, T: 2}},
+		Patterns: []CrashPattern{{Name: "late", Crashes: []CrashSpec{{Proc: 0, At: 450}}}},
+		Combos:   []Combo{{Z: 2}},
+		GST:      400, MaxSteps: 500_000,
+	}
+	blob, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Matrix
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatalf("matrix JSON changed on round trip:\n%s\n%s", blob, again)
+	}
+	cells, err := back.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != len(want) {
+		t.Fatalf("round-tripped matrix expands to %d cells, want %d", len(cells), len(want))
 	}
 }

@@ -144,6 +144,41 @@ func (r *Report) CanonicalJSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
+// SuiteJSON renders a suite — one report per matrix, in suite order —
+// as a JSON array of the canonical per-matrix reports. This is the
+// byte format of cmd/experiments' -report artifact, its -merge output
+// and the committed suite golden; all three come from this one
+// renderer so they stay byte-comparable.
+func SuiteJSON(reports []*Report) ([]byte, error) {
+	blobs := make([]json.RawMessage, 0, len(reports))
+	for _, r := range reports {
+		blob, err := r.CanonicalJSON()
+		if err != nil {
+			return nil, err
+		}
+		blobs = append(blobs, blob)
+	}
+	return json.MarshalIndent(blobs, "", "  ")
+}
+
+// tally sets the verdict counts from the report's cells. Run and
+// MergeReports both build reports through it, so a merged report's
+// counts are computed exactly as an unsharded run's.
+func (r *Report) tally() {
+	for i := range r.Cells {
+		switch r.Cells[i].Verdict {
+		case Pass:
+			r.Passed++
+		case Fail:
+			r.Failed++
+		case ConfigError:
+			r.ConfigErrors++
+		default:
+			r.Errored++
+		}
+	}
+}
+
 // Summary is a one-line human rendering.
 func (r *Report) Summary() string {
 	shard := ""
@@ -219,16 +254,7 @@ func MergeReports(parts []*Report) (*Report, error) {
 		if c.Index != i {
 			return nil, fmt.Errorf("sweep: merge of %q has a gap in coverage: cell %d is missing (parts do not form a complete shard family)", merged.Matrix.Name, i)
 		}
-		switch c.Verdict {
-		case Pass:
-			merged.Passed++
-		case Fail:
-			merged.Failed++
-		case ConfigError:
-			merged.ConfigErrors++
-		default:
-			merged.Errored++
-		}
 	}
+	merged.tally()
 	return merged, nil
 }

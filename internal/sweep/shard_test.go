@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"fdgrid/internal/adversary"
@@ -258,5 +259,67 @@ func TestShardedFamilySweepMerges(t *testing.T) {
 	got, _ := merged.CanonicalJSON()
 	if !bytes.Equal(got, want) {
 		t.Fatal("sharded family sweep does not merge to the unsharded bytes")
+	}
+}
+
+// TestMergeRejectsOverlap: two parts covering the same cell index fail
+// with an error that names the matrix and calls out the overlap.
+func TestMergeRejectsOverlap(t *testing.T) {
+	m := smokeMatrix()
+	a, err := Run(m, Options{Shard: Shard{Index: 0, Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(m, Options{Shard: Shard{Index: 1, Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Overlap: part b carries a cell part a already owns.
+	b.Cells = append(b.Cells, a.Cells[0])
+	_, err = MergeReports([]*Report{a, b})
+	if err == nil {
+		t.Fatal("overlapping shards merged silently")
+	}
+	if !strings.Contains(err.Error(), "overlapping") || !strings.Contains(err.Error(), m.Name) {
+		t.Errorf("overlap error not descriptive: %v", err)
+	}
+}
+
+// TestMergeRejectsGap: parts that skip a cell index fail with an error
+// that names the missing cell, whether or not shard metadata says how
+// many cells to expect.
+func TestMergeRejectsGap(t *testing.T) {
+	m := smokeMatrix()
+	a, err := Run(m, Options{Shard: Shard{Index: 0, Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(m, Options{Shard: Shard{Index: 1, Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop one of b's cells: total count (from shard metadata) no longer
+	// matches.
+	dropped := *b
+	dropped.Cells = b.Cells[:len(b.Cells)-1]
+	_, err = MergeReports([]*Report{a, &dropped})
+	if err == nil {
+		t.Fatal("merge with a missing cell accepted")
+	}
+	if !strings.Contains(err.Error(), m.Name) {
+		t.Errorf("missing-cell error does not name the matrix: %v", err)
+	}
+
+	// Without shard metadata the count is trusted, so the gap must be
+	// caught by the index walk instead: drop an interior cell (index 1).
+	a2, b2 := *a, *b
+	a2.Shard, b2.Shard = nil, nil
+	b2.Cells = b.Cells[1:]
+	_, err = MergeReports([]*Report{&a2, &b2})
+	if err == nil {
+		t.Fatal("gap in coverage merged silently")
+	}
+	if !strings.Contains(err.Error(), "gap") {
+		t.Errorf("gap error not descriptive: %v", err)
 	}
 }

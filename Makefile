@@ -52,13 +52,19 @@ race:
 
 # A short end-to-end sweep: every experiment matrix runs (the full
 # matrix takes a couple of seconds), the rendered report and canonical
-# JSON land in /tmp. Fails if any experiment reports FAILED. Fewer seeds
-# are not used: EXP-T5's distinct-value witness needs several.
+# JSON land in /tmp. Fails if any experiment reports FAILED, if the JSON
+# differs from the committed suite golden, or if the markdown differs
+# from the committed EXPERIMENTS.md, so byte drift breaks the smoke too.
+# Fewer seeds are not used: EXP-T5's distinct-value witness needs
+# several, and the golden is cut at the default seed count.
 smoke: build
-	$(GO) run ./cmd/experiments -out /tmp/fdgrid-smoke.md -report /tmp/fdgrid-smoke.json
+	$(GO) run ./cmd/experiments -out /tmp/fdgrid-smoke.md -report /tmp/fdgrid-smoke.json \
+		-golden cmd/experiments/testdata/suite.golden.json
 	@if grep -q "FAILED" /tmp/fdgrid-smoke.md; then \
 		echo "smoke sweep has FAILED verdicts:"; grep -B1 "FAILED" /tmp/fdgrid-smoke.md; exit 1; \
 	fi
+	@cmp /tmp/fdgrid-smoke.md EXPERIMENTS.md || { \
+		echo "smoke markdown differs from EXPERIMENTS.md"; exit 1; }
 	@echo "smoke sweep clean: /tmp/fdgrid-smoke.md"
 
 # Examples smoke: run every example binary end to end so example drift

@@ -12,42 +12,53 @@ import (
 )
 
 // The committed suite golden pins the canonical JSON of every
-// experiment matrix at the CI seed count. CI's sharded sweep jobs merge
-// their partial suites and diff against the same file, so any
-// behavioural drift — scheduler, oracle, protocol or adversary
-// generator — surfaces as a byte diff both locally and in CI.
+// experiment matrix at the CI seed count, and the committed
+// EXPERIMENTS.md pins the markdown rendered from those reports. CI's
+// sharded sweep jobs merge their partial suites and diff against the
+// same JSON file, so any behavioural drift — scheduler, oracle, protocol
+// or adversary generator — surfaces as a byte diff both locally and in
+// CI.
 //
-// Regenerate (only when a behaviour change is intended and understood):
+// Regenerate both (only when a behaviour change is intended and
+// understood):
 //
 //	go test ./cmd/experiments -run TestSuiteGolden -update-suite-golden
-var updateSuiteGolden = flag.Bool("update-suite-golden", false, "rewrite the experiments suite golden")
+var updateSuiteGolden = flag.Bool("update-suite-golden", false, "rewrite the experiments suite golden and EXPERIMENTS.md")
 
-const goldenSeeds = 3 // must match the CI invocation's -seeds
+const (
+	goldenSeeds    = 3 // must match the CI invocation's -seeds
+	experimentsMD  = "../../EXPERIMENTS.md"
+	benchRecordRel = "../../BENCH_PR7.json" // the -bench default, seen from this directory
+)
 
 func goldenPath(t *testing.T) string {
 	t.Helper()
 	return filepath.Join("testdata", "suite.golden.json")
 }
 
-func buildSuiteJSON(t *testing.T, seeds int, opts sweep.Options) ([]byte, []*sweep.Report) {
+func runSuiteJSON(t *testing.T, seeds int, opts sweep.Options) ([]byte, []*sweep.Report) {
 	t.Helper()
-	_, reports, err := buildSuite(seeds, opts, "no-such-bench-record.json", false)
+	reports, err := runSuite(suite(seeds), opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite, err := sweep.SuiteJSON(reports)
+	blob, err := sweep.SuiteJSON(reports)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return suite, reports
+	return blob, reports
 }
 
 func TestSuiteGolden(t *testing.T) {
-	got, reports := buildSuiteJSON(t, goldenSeeds, sweep.Options{})
+	got, reports := runSuiteJSON(t, goldenSeeds, sweep.Options{})
 	for _, r := range reports {
 		if !r.OK() {
 			t.Errorf("matrix %s", r.Summary())
 		}
+	}
+	md, err := render(reports, benchRecordRel)
+	if err != nil {
+		t.Fatal(err)
 	}
 	path := goldenPath(t)
 	if *updateSuiteGolden {
@@ -57,7 +68,10 @@ func TestSuiteGolden(t *testing.T) {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		if err := os.WriteFile(experimentsMD, []byte(md), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes) and %s (%d bytes)", path, len(got), experimentsMD, len(md))
 		return
 	}
 	want, err := os.ReadFile(path)
@@ -66,6 +80,13 @@ func TestSuiteGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("suite differs from %s (got %d bytes, want %d) — a deliberate change needs -update-suite-golden", path, len(got), len(want))
+	}
+	wantMD, err := os.ReadFile(experimentsMD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md != string(wantMD) {
+		t.Fatalf("rendered markdown differs from %s (got %d bytes, want %d) — a deliberate change needs -update-suite-golden", experimentsMD, len(md), len(wantMD))
 	}
 }
 
@@ -83,9 +104,9 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	dir := t.TempDir()
 	paths := make([]string, count)
 	for i := 0; i < count; i++ {
-		suite, _ := buildSuiteJSON(t, goldenSeeds, sweep.Options{Shard: sweep.Shard{Index: i, Count: count}})
+		blob, _ := runSuiteJSON(t, goldenSeeds, sweep.Options{Shard: sweep.Shard{Index: i, Count: count}})
 		paths[i] = filepath.Join(dir, "shard-"+string(rune('0'+i))+".json")
-		if err := os.WriteFile(paths[i], suite, 0o644); err != nil {
+		if err := os.WriteFile(paths[i], blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,6 +162,41 @@ func TestParseReplaySpec(t *testing.T) {
 	} {
 		if _, _, err := parseReplaySpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
+		}
+	}
+}
+
+// TestMergeSuitesRejectsNull: a shard file holding a JSON null where a
+// report belongs fails the merge with an error naming the file, rather
+// than crashing it.
+func TestMergeSuitesRejectsNull(t *testing.T) {
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")}
+	for _, p := range paths {
+		if err := os.WriteFile(p, []byte("[null]"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := mergeSuites(paths)
+	if err == nil {
+		t.Fatal("null shard entries merged")
+	}
+	if !strings.Contains(err.Error(), paths[0]) || !strings.Contains(err.Error(), "null") {
+		t.Errorf("null-entry error does not name the file: %v", err)
+	}
+}
+
+// TestCheckSeeds: a seed count below 1 is a usage error, caught before
+// any matrix is built (seedList would panic on a negative length).
+func TestCheckSeeds(t *testing.T) {
+	for _, ok := range []int{1, 3} {
+		if err := checkSeeds(ok); err != nil {
+			t.Errorf("-seeds %d rejected: %v", ok, err)
+		}
+	}
+	for _, bad := range []int{0, -1} {
+		if err := checkSeeds(bad); err == nil {
+			t.Errorf("-seeds %d accepted", bad)
 		}
 	}
 }

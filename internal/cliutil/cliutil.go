@@ -1,45 +1,11 @@
 // Package cliutil holds small helpers shared by the repository's
-// command-line tools: crash-schedule parsing and plain-text tables.
+// command-line tools: plain-text and markdown tables.
 package cliutil
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-
-	"fdgrid/internal/ids"
-	"fdgrid/internal/sim"
 )
-
-// ParseCrashes parses a crash schedule of the form "p:t,p:t", e.g.
-// "3:0,5:400" (process 3 crashes initially, process 5 at tick 400).
-// The empty string yields an empty schedule.
-func ParseCrashes(spec string, n int) (map[ids.ProcID]sim.Time, error) {
-	out := make(map[ids.ProcID]sim.Time)
-	if strings.TrimSpace(spec) == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("cliutil: bad crash entry %q (want p:t)", part)
-		}
-		p, err := strconv.Atoi(kv[0])
-		if err != nil || p < 1 || p > n {
-			return nil, fmt.Errorf("cliutil: bad process id %q", kv[0])
-		}
-		at, err := strconv.ParseInt(kv[1], 10, 64)
-		if err != nil || at < 0 {
-			return nil, fmt.Errorf("cliutil: bad crash time %q", kv[1])
-		}
-		id := ids.ProcID(p)
-		if _, dup := out[id]; dup {
-			return nil, fmt.Errorf("cliutil: duplicate crash entry for process %d", p)
-		}
-		out[id] = sim.Time(at)
-	}
-	return out, nil
-}
 
 // Table renders rows as aligned plain text (and, with Markdown set, as a
 // GitHub-flavoured markdown table).

@@ -98,11 +98,6 @@ func (w *UpperWheel) Pos() ids.LYPos {
 	return w.pos
 }
 
-// LMoves returns how many l_move messages this process has consumed.
-func (w *UpperWheel) LMoves() int {
-	return w.lmoves
-}
-
 // Trusted computes the Ω_z output (task T4): if query(Y_i) says the whole
 // candidate region crashed, the smallest provably-live process outside
 // Y_i; otherwise the current leader-set candidate L_i. Run-token

@@ -50,16 +50,6 @@ func (m *Metrics) countSent(tag Tag) {
 	m.totalSent++
 }
 
-func (m *Metrics) countDelivered(tag Tag) {
-	m.delivered = grown(m.delivered, tag)
-	m.delivered[tag]++
-}
-
-func (m *Metrics) countDropped(tag Tag) {
-	m.dropped = grown(m.dropped, tag)
-	m.dropped[tag]++
-}
-
 // The N variants bump a counter by a whole batch's worth at once.
 // Counters stay per-message-exact: callers pass the number of messages
 // in the batch, so a batched run and a message-at-a-time run of the

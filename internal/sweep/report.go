@@ -210,6 +210,11 @@ func MergeReports(parts []*Report) (*Report, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("sweep: merge of zero reports")
 	}
+	for i, p := range parts {
+		if p == nil {
+			return nil, fmt.Errorf("sweep: merge part %d is nil", i)
+		}
+	}
 	refMatrix, err := json.Marshal(parts[0].Matrix)
 	if err != nil {
 		return nil, err

@@ -285,6 +285,30 @@ func TestMergeRejectsOverlap(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsNil: a nil part (a JSON null in a shard file) fails
+// the merge with an error naming its position, rather than crashing it.
+func TestMergeRejectsNil(t *testing.T) {
+	a, err := Run(smokeMatrix(), Options{Shard: Shard{Index: 0, Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		parts []*Report
+		want  string
+	}{
+		{[]*Report{nil, a}, "part 0 is nil"},
+		{[]*Report{a, nil}, "part 1 is nil"},
+	} {
+		_, err := MergeReports(tc.parts)
+		if err == nil {
+			t.Fatalf("nil part merged (want %q)", tc.want)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("nil-part error %q does not contain %q", err, tc.want)
+		}
+	}
+}
+
 // TestMergeRejectsGap: parts that skip a cell index fail with an error
 // that names the missing cell, whether or not shard metadata says how
 // many cells to expect.

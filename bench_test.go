@@ -302,6 +302,29 @@ func BenchmarkPsiToOmega(b *testing.B) {
 	}
 }
 
+// BenchmarkPsiToOmegaScale: Fig. 8 in the shape of the suite's SCALE-psi
+// cells — n=256, t=6, Ψ_4 → Ω_3 and a cascade of three crashes at
+// ticks 100, 200 and 400 (doubling gaps), watched over 6 000 ticks.
+func BenchmarkPsiToOmegaScale(b *testing.B) {
+	const (
+		n = 256
+		t = 6
+	)
+	for i := 0; i < b.N; i++ {
+		cfg := Config{
+			N: n, T: t, Seed: int64(i), MaxSteps: 6_000, GST: 0, Bandwidth: 1,
+			Crashes: map[ProcID]Time{17: 100, 101: 200, 230: 400},
+		}
+		sys := MustNewSystem(cfg)
+		po := NewPsiOmega(n, t, 4, 3, WrapPsi(NewPhi(sys, 4)))
+		trace := WatchLeader(sys, po)
+		sys.Run(nil)
+		if err := trace.CheckOmega(sys.Pattern(), 3, 1_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAddToS (EXP-F9, paper Fig. 9): the S_x + φ_y → S_n addition
 // over the three register substrates.
 func BenchmarkAddToS(b *testing.B) {

@@ -13,10 +13,12 @@ import (
 // return sim.Never — a consumer woken by the triggering message re-reads
 // them anyway.
 //
-// Hints feed the scheduler's wake conditions (sim.Env.StepUntil): a layer
-// polling an oracle sleeps until the oracle can change instead of waking
-// every tick. A conservative consumer treats a missing hint as "may
-// change next tick".
+// Hints feed the scheduler's wake conditions. A layer polling an oracle
+// (sim.Env.StepUntil) sleeps until the oracle can change instead of
+// waking every tick. WakeOnChanges schedules the ticks a hint names, so
+// WatchLeader and WatchSuspector sample a hinted output only there and
+// let the clock skip the rest. A missing hint means "may change next
+// tick" (NextChangeOf).
 type ChangeHinted interface {
 	NextChange(now sim.Time) sim.Time
 }
@@ -28,6 +30,20 @@ func NextChangeOf(o any, now sim.Time) sim.Time {
 		return h.NextChange(now)
 	}
 	return now + 1
+}
+
+// WakeOnChanges schedules a tick at every future time o's output can
+// change (NextChangeOf: every tick when o gives no hint), so an OnAdvance
+// sampler registered before it observes each change on the tick it
+// happens. Hints at or past MaxSteps (sim.Never when settled) can never
+// fire and are left out of the scheduler's list.
+func WakeOnChanges(sys *sim.System, o any) {
+	end := sys.Config().MaxSteps
+	sys.OnAdvance(func(now sim.Time) {
+		if next := NextChangeOf(o, now); next < end {
+			sys.WakeAt(next)
+		}
+	})
 }
 
 // nextEpoch returns the first epoch boundary after now.

@@ -132,6 +132,27 @@ func TestStableForPredicate(t *testing.T) {
 	}
 }
 
+// TestSetTraceUnknownProcs: StableFor and lastViolation treat an id above
+// n as never sampled, as the accessors do, instead of indexing past the
+// per-process tables.
+func TestSetTraceUnknownProcs(t *testing.T) {
+	cfg := sim.Config{N: 2, T: 0, Seed: 5, MaxSteps: 3_000, GST: 0}
+	sys := sim.MustNew(cfg)
+	l := NewScriptedLeader(sys, []LeaderStep{{At: 0, Common: ids.NewSet(1)}})
+	tr := WatchLeader(sys, l)
+	rep := sys.Run(tr.StableFor(ids.NewSet(1, 7), 100))
+	if rep.StoppedEarly {
+		t.Error("StableFor fired although process 7 was never sampled")
+	}
+	never := func(ids.ProcID, ids.Set) bool { return false }
+	if got := tr.lastViolation(ids.NewSet(7), never); got != -1 {
+		t.Errorf("lastViolation over an unknown process = %d, want -1", got)
+	}
+	if got := tr.lastViolation(ids.NewSet(1, 7), never); got != tr.Horizon() {
+		t.Errorf("lastViolation = %d, want horizon %d", got, tr.Horizon())
+	}
+}
+
 // TestSuspectorLag: with a detection lag, a crashed process is suspected
 // only after crash + lag.
 func TestSuspectorLag(t *testing.T) {

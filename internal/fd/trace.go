@@ -10,8 +10,8 @@ import (
 // trace, one event per (process, change), labeled src ("oracle",
 // "emu", …). A no-op when the run is untraced or the trace level is
 // below Decisions. Like the Watch* samplers it observes every alive
-// process; unlike them it installs sparsely (OnAdvance), so it never
-// forces the clock dense — a traced run schedules exactly the ticks an
+// process; unlike them it neither forces the clock dense nor schedules
+// ticks of its own — a traced run schedules exactly the ticks an
 // untraced one does, which is what keeps traced and untraced reports
 // byte-identical. The cost is that time-driven churn between scheduled
 // ticks is invisible; it is also unobservable by any process, so the

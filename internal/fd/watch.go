@@ -23,6 +23,9 @@ type SetTrace struct {
 	last    []ids.Set
 	started []bool
 	horizon sim.Time
+	// dense marks a trace that has observed every tick before the
+	// clock's current one, sampled or not (see watchSets).
+	dense bool
 }
 
 func newSetTrace(sys *sim.System) *SetTrace {
@@ -36,13 +39,17 @@ func newSetTrace(sys *sim.System) *SetTrace {
 	}
 }
 
-// watchSets installs a sampler for a per-process set-valued output.
-// Dense samplers observe every tick (and force the clock dense); sparse
-// ones observe every scheduled tick, which suffices for emulated outputs
-// because those change only when a process takes a step.
-func watchSets(sys *sim.System, dense bool, read func(ids.ProcID) ids.Set) *SetTrace {
+// watchSets installs a sampler for a per-process set-valued output out,
+// read through read. A dense sampler records the exact timeline: it is
+// change-driven, sampling every scheduled tick and scheduling one at
+// each tick where out can next change (WakeOnChanges), so the clock
+// skips only ticks at which the output provably cannot change. An
+// output without a hint wakes it every tick. A sparse sampler observes
+// every scheduled tick and nothing more, which suffices for emulated
+// outputs because those change only when a process takes a step.
+func watchSets(sys *sim.System, dense bool, out any, read func(ids.ProcID) ids.Set) *SetTrace {
 	tr := newSetTrace(sys)
-	sample := func(now sim.Time) {
+	sys.OnAdvance(func(now sim.Time) {
 		// One crashed-set lookup per tick, then a masked sweep over the
 		// alive processes — membership and ascending order are exactly
 		// those of a 1..n loop with a per-process Crashed check.
@@ -52,39 +59,39 @@ func watchSets(sys *sim.System, dense bool, read func(ids.ProcID) ids.Set) *SetT
 			return true
 		})
 		tr.tick(now)
-	}
+	})
 	if dense {
-		sys.OnTick(sample)
-	} else {
-		sys.OnAdvance(sample)
+		tr.dense = true
+		WakeOnChanges(sys, out)
 	}
 	return tr
 }
 
-// WatchLeader samples l.Trusted(p) for every process on every tick
-// (dense: the run never skips a tick, so time-driven oracle churn is
-// captured exactly).
+// WatchLeader records l.Trusted(p) for every alive process at every tick
+// at which it can change, so time-driven oracle churn is captured
+// exactly. The ticks come from l's change hint (NextChangeOf), and the
+// run still skips the rest.
 func WatchLeader(sys *sim.System, l Leader) *SetTrace {
-	return watchSets(sys, true, l.Trusted)
+	return watchSets(sys, true, l, l.Trusted)
 }
 
-// WatchSuspector samples s.Suspected(p) for every process on every tick.
+// WatchSuspector is WatchLeader for s.Suspected(p).
 func WatchSuspector(sys *sim.System, s Suspector) *SetTrace {
-	return watchSets(sys, true, s.Suspected)
+	return watchSets(sys, true, s, s.Suspected)
 }
 
-// WatchLeaderSparse samples l.Trusted(p) at every scheduled tick, letting
-// the scheduler skip idle virtual time. Use it for emulated outputs
-// (whose value changes only when a process takes a step); for
-// ground-truth oracles, whose anarchy churns with the clock itself, the
-// dense WatchLeader records the exact timeline.
+// WatchLeaderSparse samples l.Trusted(p) at every scheduled tick only,
+// ignoring any change hint, and its horizon is the last scheduled tick.
+// Use it for emulated outputs, whose value changes only when a process
+// takes a step; for ground-truth oracles, whose anarchy churns with the
+// clock itself, WatchLeader records the exact timeline.
 func WatchLeaderSparse(sys *sim.System, l Leader) *SetTrace {
-	return watchSets(sys, false, l.Trusted)
+	return watchSets(sys, false, l, l.Trusted)
 }
 
 // WatchSuspectorSparse is WatchLeaderSparse for suspectors.
 func WatchSuspectorSparse(sys *sim.System, s Suspector) *SetTrace {
-	return watchSets(sys, false, s.Suspected)
+	return watchSets(sys, false, s, s.Suspected)
 }
 
 func (tr *SetTrace) observe(p ids.ProcID, now sim.Time, v ids.Set) {
@@ -104,14 +111,21 @@ func (tr *SetTrace) tick(now sim.Time) {
 // process of procs has been sampled at least once and no sampled output
 // has changed during the last margin ticks. Pick margin larger than the
 // run's GST and last crash time so the observed stability covers a
-// genuinely post-stabilization window.
+// genuinely post-stabilization window. An id of procs outside 1..n
+// counts as never sampled, so the predicate never fires.
 func (tr *SetTrace) StableFor(procs ids.Set, margin sim.Time) func() bool {
 	return func() bool {
 		stable := true
 		var lastChange sim.Time = -1
+		horizon := tr.Horizon()
 		procs.ForEach(func(p ids.ProcID) bool {
-			if !tr.started[p] {
+			if !tr.inRange(p) || !tr.started[p] {
 				stable = false
+				if tr.dense {
+					// p's first sample, if any, lands at this tick or
+					// later; no sampled change will wake the predicate.
+					lastChange = tr.sys.Now()
+				}
 				return false
 			}
 			ss := tr.byProc[p]
@@ -120,7 +134,7 @@ func (tr *SetTrace) StableFor(procs ids.Set, margin sim.Time) func() bool {
 				if at > lastChange {
 					lastChange = at
 				}
-				if tr.horizon-at < margin {
+				if horizon-at < margin {
 					stable = false
 				}
 			}
@@ -129,14 +143,25 @@ func (tr *SetTrace) StableFor(procs ids.Set, margin sim.Time) func() bool {
 		if !stable && lastChange >= 0 {
 			// Tell the scheduler when this predicate can next flip, so
 			// clock jumps land on (not past) the earliest stopping tick.
-			tr.sys.WakeAt(lastChange + margin)
+			// A dense horizon trails the clock by one tick.
+			wake := lastChange + margin
+			if tr.dense {
+				wake++
+			}
+			tr.sys.WakeAt(wake)
 		}
 		return stable
 	}
 }
 
-// Horizon returns the last sampled tick.
+// Horizon returns the last observed tick: the last sampled one, or for a
+// dense trace the tick before the clock's current one — the sampler
+// skipped only ticks at which the output could not change. After
+// System.Run that is the stop tick minus one, or MaxSteps-1.
 func (tr *SetTrace) Horizon() sim.Time {
+	if tr.dense {
+		return tr.sys.Now() - 1
+	}
 	return tr.horizon
 }
 
@@ -192,7 +217,7 @@ func (tr *SetTrace) lastTimeContaining(p, q ids.ProcID) sim.Time {
 		if i+1 < len(ss) {
 			last = ss[i+1].At
 		} else {
-			last = tr.horizon
+			last = tr.Horizon()
 		}
 	}
 	return last
@@ -209,13 +234,17 @@ func (tr *SetTrace) everContained(p, q ids.ProcID) bool {
 // given per-sample predicate.
 func (tr *SetTrace) lastViolation(procs ids.Set, ok func(p ids.ProcID, v ids.Set) bool) sim.Time {
 	worst := sim.Time(-1)
+	horizon := tr.Horizon()
 	procs.ForEach(func(p ids.ProcID) bool {
+		if !tr.inRange(p) {
+			return true // never sampled: nothing violated
+		}
 		ss := tr.byProc[p]
 		for i, s := range ss {
 			if ok(p, s.Value) {
 				continue
 			}
-			end := tr.horizon
+			end := horizon
 			if i+1 < len(ss) {
 				end = ss[i+1].At
 			}

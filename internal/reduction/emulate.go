@@ -29,11 +29,17 @@ func (e *OmegaEmulation) Register(p ids.ProcID, w *UpperWheel) {
 	e.wheels[p] = w
 }
 
-// NextChange implements fd.ChangeHinted: wheel positions change only when
-// a host process takes a step. (The exposed Trusted value also consults
-// the underlying querier live; consumers that poll it across time should
-// hint off that querier instead.)
-func (e *OmegaEmulation) NextChange(sim.Time) sim.Time { return sim.Never }
+// NextChange implements fd.ChangeHinted. Wheel positions change only when
+// a host process takes a step, but Trusted also consults each wheel's
+// querier live, so the output can change wherever a querier's answer
+// can: the hint is the earliest of theirs.
+func (e *OmegaEmulation) NextChange(now sim.Time) sim.Time {
+	next := sim.Never
+	for _, w := range e.wheels {
+		next = min(next, fd.NextChangeOf(w.q, now))
+	}
+	return next
+}
 
 // Trusted implements fd.Leader.
 func (e *OmegaEmulation) Trusted(p ids.ProcID) ids.Set {

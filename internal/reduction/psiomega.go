@@ -5,6 +5,7 @@ import (
 
 	"fdgrid/internal/fd"
 	"fdgrid/internal/ids"
+	"fdgrid/internal/sim"
 )
 
 // PsiOmega is the paper's Appendix A construction (Fig. 8): a failure
@@ -25,7 +26,10 @@ type PsiOmega struct {
 	z     int
 }
 
-var _ fd.Leader = (*PsiOmega)(nil)
+var (
+	_ fd.Leader       = (*PsiOmega)(nil)
+	_ fd.ChangeHinted = (*PsiOmega)(nil)
+)
 
 // NewPsiOmega builds the transformation for a system of n processes with
 // resilience t. It panics unless 1 ≤ z ≤ n and y+z > t (the paper's
@@ -61,4 +65,10 @@ func (po *PsiOmega) Trusted(p ids.ProcID) ids.Set {
 	// Unreachable in a legal run: the last chain set is Π with |Π| = n > t,
 	// whose query is trivially false.
 	return ids.EmptySet()
+}
+
+// NextChange implements fd.ChangeHinted: trusted is a pure function of
+// the querier's answers, so it can change only where they can.
+func (po *PsiOmega) NextChange(now sim.Time) sim.Time {
+	return fd.NextChangeOf(po.q, now)
 }

@@ -471,24 +471,6 @@ func watchMark(sys *sim.System, tag sim.Tag, mark sim.Time, res *CellResult, nam
 	})
 }
 
-// hintOracleChanges schedules a tick at every future time the oracle's
-// output can change. Sparse traces of an emulated output that consults
-// an oracle live at read time (the upper wheel's Trusted queries its
-// ◇φ_y) need this: without it a clock jump could skip the tick at which
-// the oracle flips the emulated output, and the trace would misstate
-// the change timeline.
-func hintOracleChanges(sys *sim.System, o any) {
-	h, ok := o.(fd.ChangeHinted)
-	if !ok {
-		return
-	}
-	sys.OnAdvance(func(now sim.Time) {
-		if t := h.NextChange(now); t < sim.Never {
-			sys.WakeAt(t)
-		}
-	})
-}
-
 // stabilizationOf returns the latest output change among correct
 // processes.
 func stabilizationOf(trace *fd.SetTrace, correct ids.Set) sim.Time {
@@ -553,7 +535,7 @@ func runTwoWheels(c *Cell, res *CellResult) {
 	trace := fd.WatchLeaderSparse(sys, emu)
 	// The emulated Trusted consults the querier live; make sure every
 	// tick it can change at is scheduled, so the sparse trace is exact.
-	hintOracleChanges(sys, quer)
+	fd.WakeOnChanges(sys, quer)
 	watchMark(sys, sim.Intern("wheel.inquiry"), sim.Time(c.Param("mark", 0)), res, "inquiries_at_mark")
 	var stop func() bool
 	if sf := sim.Time(c.Param("stable_for", 0)); sf > 0 {
@@ -668,16 +650,37 @@ func runLowerWheel(c *Cell, res *CellResult) {
 
 // runPsiOmega: Ψ_y → Ω_z for y+z > t (EXP-F8) — local chain queries,
 // zero messages. The watched output is a pure oracle chain (it churns
-// with the clock before stabilization), so the trace is dense.
+// with the clock before stabilization); WatchLeader follows the chain's
+// change hint, so the trace samples every tick at which it can change.
 func runPsiOmega(c *Cell, res *CellResult) {
 	sys, err := c.System()
 	if err != nil {
 		panic(err)
 	}
-	y, z := c.Combo.Y, c.Combo.Z
-	opts, eventual, ok := oraclePhiOpts(c, sys, res, y)
+	po, ok := psiOmegaChain(c, sys, res)
 	if !ok {
 		return
+	}
+	fd.TraceLeader(sys, po, "emu")
+	trace := fd.WatchLeader(sys, po)
+	rep := sys.Run(nil)
+	recordRun(res, rep)
+	if err := trace.CheckOmega(sys.Pattern(), c.Combo.Z, sim.Time(c.Param("margin", 1_000))); err != nil {
+		res.fail(err.Error())
+	}
+	if rep.Messages.TotalSent != 0 {
+		res.fail(fmt.Sprintf("sent %d messages, want 0", rep.Messages.TotalSent))
+	}
+}
+
+// psiOmegaChain builds a psi-omega cell's Fig. 8 chain on sys: Ψ_y over a
+// φ_y, or over a ◇φ_y when an oracle script configures it. It returns
+// false when the script does not fit the cell (res records why).
+func psiOmegaChain(c *Cell, sys *sim.System, res *CellResult) (*reduction.PsiOmega, bool) {
+	y := c.Combo.Y
+	opts, eventual, ok := oraclePhiOpts(c, sys, res, y)
+	if !ok {
+		return nil, false
 	}
 	var phi *fd.Phi
 	if eventual {
@@ -685,18 +688,7 @@ func runPsiOmega(c *Cell, res *CellResult) {
 	} else {
 		phi = fd.NewPhi(sys, y)
 	}
-	psi := fd.WrapPsi(phi)
-	po := reduction.NewPsiOmega(c.Size.N, c.Size.T, y, z, psi)
-	fd.TraceLeader(sys, po, "emu")
-	trace := fd.WatchLeader(sys, po)
-	rep := sys.Run(nil)
-	recordRun(res, rep)
-	if err := trace.CheckOmega(sys.Pattern(), z, sim.Time(c.Param("margin", 1_000))); err != nil {
-		res.fail(err.Error())
-	}
-	if rep.Messages.TotalSent != 0 {
-		res.fail(fmt.Sprintf("sent %d messages, want 0", rep.Messages.TotalSent))
-	}
+	return reduction.NewPsiOmega(c.Size.N, c.Size.T, y, c.Combo.Z, fd.WrapPsi(phi)), true
 }
 
 // runAddS: S_x + φ_y → S_n over a register substrate named by the combo
@@ -751,8 +743,8 @@ func runAddS(c *Cell, res *CellResult) {
 }
 
 // runPhiO1: Observation O1 — with f ≤ t−y crashes, a φ_y answers every
-// informative query false (it can only vouch by size). Sampled densely
-// at the tick Params["at"].
+// informative query false (it can only vouch by size). Sampled once, at
+// the tick Params["at"], which a wake hint schedules.
 func runPhiO1(c *Cell, res *CellResult) {
 	sys, err := c.System()
 	if err != nil {
@@ -766,7 +758,8 @@ func runPhiO1(c *Cell, res *CellResult) {
 	at := sim.Time(c.Param("at", 1_500))
 	ringX := int(c.Param("ring_x", int64(c.Size.T)))
 	informative := true
-	sys.OnTick(func(now sim.Time) {
+	sys.WakeAt(at)
+	sys.OnAdvance(func(now sim.Time) {
 		if now != at {
 			return
 		}

@@ -172,6 +172,48 @@ func TestReplayDivergence(t *testing.T) {
 	}
 }
 
+// TestPsiOmegaReplayPins: the traced psi-omega suite cells record the
+// same oracle-output changes however densely the watched chain is
+// sampled — their event counts, digests and first divergence are
+// pinned.
+func TestPsiOmegaReplayPins(t *testing.T) {
+	scale := goldenMatrix(t, "SCALE-psi")
+	scale.TraceLevel = trace.Decisions.String()
+	cells, err := scale.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(scale, Options{Shard: Shard{Index: 5, Count: len(cells)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := r.Cells[0]; c.Index != 5 || c.TraceEvents != 100 || c.TraceDigest != "ce27b5234bcacefe94e03d1bede99099" {
+		t.Errorf("SCALE-psi:%d traced %d events, digest %s; want SCALE-psi:5, 100 events, digest ce27b5234bcacefe94e03d1bede99099",
+			c.Index, c.TraceEvents, c.TraceDigest)
+	}
+
+	pert, err := ParsePerturbation("stab+200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := goldenMatrix(t, "ORACLE-psi-burst")
+	rr, err := Replay(burst, 3, pert, trace.Decisions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := rr.Base; b.TraceEvents != 1064 || b.TraceDigest != "6fe74439f790823783d01ba168958e87" {
+		t.Errorf("ORACLE-psi-burst:3 traced %d events, digest %s; want 1064, 6fe74439f790823783d01ba168958e87",
+			b.TraceEvents, b.TraceDigest)
+	}
+	if p := rr.Perturbed; p.TraceEvents != 1486 || p.TraceDigest != "8ec96ba62ba457f5ea075acbbb0559ef" {
+		t.Errorf("ORACLE-psi-burst:3 under stab+200 traced %d events, digest %s; want 1486, 8ec96ba62ba457f5ea075acbbb0559ef",
+			p.TraceEvents, p.TraceDigest)
+	}
+	if rr.Div == nil || rr.Div.A == nil || rr.Div.A.At != 530 {
+		t.Errorf("ORACLE-psi-burst:3 under stab+200: divergence %+v, want first at t=530", rr.Div)
+	}
+}
+
 // TestReplayCrashPerturbation: an extra crash diverges the trace, and
 // the baseline cell (whose pattern slices the perturbed cell cloned)
 // is untouched.

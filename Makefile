@@ -10,8 +10,7 @@
 #
 # The suite fans out one way: `experiments -shard i/m -report …` per
 # shard, then `experiments -merge -golden …` over the shard files (CI's
-# sweep jobs; TestShardMergeMatchesUnsharded runs the same path
-# in-process).
+# sweep jobs; TestSuiteGolden runs the same path in-process).
 #
 # BENCH_OUT names the committed benchmark record; override it when
 # cutting a new baseline (e.g. `make bench BENCH_OUT=BENCH_PR4.json`).

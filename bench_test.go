@@ -695,3 +695,38 @@ func BenchmarkSchedulerSendHolds(b *testing.B) {
 	b.ResetTimer()
 	sys.Run(nil)
 }
+
+// BenchmarkKSetScaleCell is the layer probe for the sweep's per-cell
+// cost at scale: one SCALE-kset cell (Fig. 3 over Ω_2 at n = 256, the
+// first staggered-crash schedule), run per iteration through a
+// one-cell, one-worker sweep, so it pays what a suite cell pays —
+// System set-up, the run, and the buffers the worker's arena does or
+// does not carry over from the previous iteration's cell.
+func BenchmarkKSetScaleCell(b *testing.B) {
+	scale := SweepMatrix{
+		Name: "SCALE-kset", Protocol: "kset-omega",
+		Seeds: []int64{0}, Sizes: []SweepSize{{N: 256, T: 127}},
+		AdversaryFamilies: []adversary.Family{
+			{Kind: adversary.KindStaggered, Count: 8, Variants: 2, Seed: 11, Start: 100, Spacing: 60},
+		},
+		Combos: []SweepCombo{{Z: 2}},
+		GST:    200, MaxSteps: 4_000_000,
+	}
+	cells, err := scale.Cells()
+	if err != nil {
+		b.Fatal(err)
+	}
+	one := scale
+	one.AdversaryFamilies = nil
+	one.Patterns = []SweepCrashPattern{cells[0].Pattern}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := Sweep(one, SweepOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Cells) != 1 || !rep.OK() {
+			b.Fatalf("cell failed: %s", rep.Summary())
+		}
+	}
+}

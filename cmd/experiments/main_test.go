@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,6 +29,7 @@ var updateSuiteGolden = flag.Bool("update-suite-golden", false, "rewrite the exp
 
 const (
 	goldenSeeds    = 3 // must match the CI invocation's -seeds
+	goldenShards   = 3
 	experimentsMD  = "../../EXPERIMENTS.md"
 	benchRecordRel = "../../BENCH_PR7.json" // the -bench default, seen from this directory
 )
@@ -36,21 +39,39 @@ func goldenPath(t *testing.T) string {
 	return filepath.Join("testdata", "suite.golden.json")
 }
 
-func runSuiteJSON(t *testing.T, seeds int, opts sweep.Options) ([]byte, []*sweep.Report) {
-	t.Helper()
-	reports, err := runSuite(suite(seeds), opts, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := sweep.SuiteJSON(reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob, reports
-}
-
+// TestSuiteGolden runs the suite once, through the CI pipeline
+// in-process: every shard runs independently at the golden seed count,
+// the partial suites travel through files, and the merge must reproduce
+// the committed golden byte for byte, which is the unsharded bytes. The
+// markdown rendered from the merged reports must reproduce
+// EXPERIMENTS.md. So one suite run pins both goldens and shows that the
+// suite's one fan-out path loses nothing; make smoke and CI's suite
+// golden step cover the unsharded run.
 func TestSuiteGolden(t *testing.T) {
-	got, reports := runSuiteJSON(t, goldenSeeds, sweep.Options{})
+	dir := t.TempDir()
+	paths := make([]string, goldenShards)
+	for i := range paths {
+		reports, err := runSuite(suite(goldenSeeds), sweep.Options{Shard: sweep.Shard{Index: i, Count: goldenShards}}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := sweep.SuiteJSON(reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("shard-%d.json", i))
+		if err := os.WriteFile(paths[i], blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := mergeSuites(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []*sweep.Report
+	if err := json.Unmarshal(got, &reports); err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range reports {
 		if !r.OK() {
 			t.Errorf("matrix %s", r.Summary())
@@ -79,43 +100,14 @@ func TestSuiteGolden(t *testing.T) {
 		t.Fatalf("missing suite golden (run with -update-suite-golden to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("suite differs from %s (got %d bytes, want %d) — a deliberate change needs -update-suite-golden", path, len(got), len(want))
+		t.Fatalf("merged shard suites differ from %s (got %d bytes, want %d) — a deliberate change needs -update-suite-golden", path, len(got), len(want))
 	}
 	wantMD, err := os.ReadFile(experimentsMD)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if md != string(wantMD) {
-		t.Fatalf("rendered markdown differs from %s (got %d bytes, want %d) — a deliberate change needs -update-suite-golden", experimentsMD, len(md), len(wantMD))
-	}
-}
-
-// TestShardMergeMatchesUnsharded drives the CI pipeline in-process:
-// every shard runs independently at the golden seed count, the partial
-// suites travel through files, and the merge must reproduce the
-// committed golden — the unsharded bytes TestSuiteGolden pins — so the
-// suite's one fan-out path provably loses nothing.
-func TestShardMergeMatchesUnsharded(t *testing.T) {
-	want, err := os.ReadFile(goldenPath(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const count = 3
-	dir := t.TempDir()
-	paths := make([]string, count)
-	for i := 0; i < count; i++ {
-		blob, _ := runSuiteJSON(t, goldenSeeds, sweep.Options{Shard: sweep.Shard{Index: i, Count: count}})
-		paths[i] = filepath.Join(dir, "shard-"+string(rune('0'+i))+".json")
-		if err := os.WriteFile(paths[i], blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := mergeSuites(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("merged shard suites differ from the unsharded golden (got %d bytes, want %d)", len(got), len(want))
+		t.Fatalf("markdown rendered from the merged suite differs from %s (got %d bytes, want %d) — a deliberate change needs -update-suite-golden", experimentsMD, len(md), len(wantMD))
 	}
 }
 

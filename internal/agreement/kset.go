@@ -76,6 +76,8 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 	est := v
 	r := 0
 	rounds := ksetRounds{n: n, base: 1}
+	rounds.take(env.Reuse())
+	defer rounds.release(env.Reuse())
 	var decided *Value
 
 	handle := func(m sim.Message) {
@@ -171,6 +173,8 @@ type ksetRound struct {
 // is round base+i: a faster process can run any number of rounds
 // ahead) and recycles a buffer through free when its round ends.
 // Messages for finished rounds are never read, so they are dropped.
+// Across instances and runs the free list lives in the process's
+// Env.Reuse slot (see take and release).
 type ksetRounds struct {
 	n, base    int
 	bufs, free []*ksetRound
@@ -189,6 +193,33 @@ func (rs *ksetRounds) at(r int) *ksetRound {
 		}
 	}
 	return rs.bufs[r-rs.base]
+}
+
+// take starts the free list from the buffers a previous instance parked
+// in slot, keeping only those sized for this n.
+func (rs *ksetRounds) take(slot *any) {
+	parked, _ := (*slot).([]*ksetRound)
+	*slot = nil
+	rs.free = parked[:0]
+	for _, b := range parked {
+		if len(b.p1) == rs.n+1 {
+			rs.free = append(rs.free, b)
+		}
+	}
+}
+
+// release parks every buffer in slot for the next instance, emptied.
+// It runs deferred, so an instance unwound by a crash or the end of
+// the run parks its buffers too. A buffer's p1/p2 entries are left as
+// they are: they hold no references, and an entry is only read once
+// its sender is back in p1From/p2From, which rewrites it first.
+func (rs *ksetRounds) release(slot *any) {
+	parked := append(rs.free, rs.bufs...)
+	for _, b := range parked {
+		b.p1From, b.p2From = ids.Set{}, ids.Set{}
+	}
+	rs.free, rs.bufs = nil, nil
+	*slot = parked
 }
 
 // start ends the rounds before r, recycling their buffers, and returns

@@ -10,7 +10,8 @@ import "go/ast"
 // in beside the deterministic one. The documented cross-thread surface
 // is small and carries explicit allows: System.Now / InFlight
 // (atomic), WakeAt's hint list (locked), the interner (tag.go), and
-// the sweep engine's host-side worker pool (engine.go).
+// the sweep engine's host-side worker pool and arena free list
+// (engine.go).
 var runtokenAnalyzer = &Analyzer{
 	Name:  "runtoken",
 	Scope: ScopeDeterministic,

@@ -221,6 +221,17 @@ func (e *Env) WaitUntil(pred func() bool, onMsg func(Message)) {
 	}
 }
 
+// Reuse returns this process's protocol scratch slot: one opaque value
+// per process that a protocol may park its buffers in when it finishes
+// and pick up again when it next starts. When the System was built from
+// an Arena, the slot outlives the run and the next run's process of the
+// same id finds it (only if that run has the same N); otherwise it is
+// nil at the start of every run. Whatever a slot holds must carry no
+// payload reference and must be usable by any later run: the protocol
+// resets it before parking it. Owned by the run token; call it from the
+// process's main.
+func (e *Env) Reuse() *any { return &e.p.sys.slots[e.p.id] }
+
 // Crashed reports whether this process has been crashed or stopped.
 // Like all run state it is owned by the run token: call it from
 // scheduler-side code (OnTick/OnAdvance samplers, stop predicates) or

@@ -281,7 +281,8 @@ func (fp *Pattern) Faulty() ids.Set {
 }
 
 // System is one simulated asynchronous system instance. Create it with
-// New, register process mains with Spawn, then call Run exactly once.
+// New (or Arena.New), register process mains with Spawn, then call Run
+// exactly once.
 //
 // Field ownership follows the package's concurrency contract: unless a
 // field is explicitly marked atomic or locked below, it is run-token
@@ -316,15 +317,25 @@ type System struct {
 	// Network state: messages accepted but not yet routed (arrivals),
 	// deliverable messages (eligible) and messages bucketed by the tick
 	// their scripted hold releases them (held, keys sorted in heldTimes).
-	// bucketPool recycles drained hold buckets across a run. eligible
-	// drops the envelope wrapper: a message's notBefore is spent the
-	// moment it becomes eligible, so the list moves bare 56-byte
-	// Messages, not 64-byte envelopes.
+	// bucketPool recycles drained hold buckets, wiped, across a run.
+	// eligible drops the envelope wrapper: a message's notBefore is spent
+	// the moment it becomes eligible, so the list moves bare 56-byte
+	// Messages, not 64-byte envelopes. arrDirty is the high-water mark of
+	// stale entries in arrivals' recycled capacity (route truncates it
+	// without a wipe); reclaim clears up to it.
 	arrivals   []envelope
 	eligible   []Message
 	held       map[Time][]envelope
 	heldTimes  []Time
 	bucketPool [][]envelope
+	arrDirty   int
+
+	// arena, when non-nil, lent this System its buffers and takes them
+	// back when Run returns normally (see Arena). slots are the
+	// per-process protocol scratch slots behind Env.Reuse, index 1..N:
+	// the arena's when there is one, the System's own otherwise.
+	arena *Arena
+	slots []any
 
 	// Delivery batching state: the delivery phase appends this tick's
 	// selected messages straight onto their destination inboxes (the
@@ -468,6 +479,12 @@ func (s *System) WakeAt(t Time) {
 
 // New builds a system from cfg. It returns an error if cfg is invalid.
 func New(cfg Config) (*System, error) {
+	return newSystem(cfg, nil)
+}
+
+// newSystem is the one constructor body behind New and Arena.New: a
+// non-nil arena lends the System its buffers.
+func newSystem(cfg Config, a *Arena) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -489,6 +506,11 @@ func New(cfg Config) (*System, error) {
 	s.procs = make([]*Proc, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
 		s.procs[i] = newProc(ids.ProcID(i), s)
+	}
+	if a != nil {
+		a.lend(s)
+	} else {
+		s.slots = make([]any, cfg.N+1)
 	}
 	if len(cfg.Holds) > 0 {
 		// Precompute the release structures so the send path is one
@@ -669,7 +691,9 @@ func (s *System) killAt(p, self *Proc) {
 // the scheduler until stop() returns true or MaxSteps elapse, and finally
 // tears everything down, stopping every process coroutine. stop may be
 // nil (run to MaxSteps); like samplers, it runs on whichever stack holds
-// the run token at that tick.
+// the run token at that tick. A System built from an Arena hands its
+// buffers back to the arena when Run returns normally; a re-raised
+// panic leaves them out.
 func (s *System) Run(stop func() bool) Report {
 	if s.ran {
 		panic("sim: Run called twice")
@@ -698,6 +722,7 @@ func (s *System) Run(stop func() bool) Report {
 		panic(s.panicVal)
 	}
 
+	s.reclaim()
 	return Report{
 		Steps:        s.Now(),
 		StoppedEarly: stoppedEarly,
@@ -1084,6 +1109,7 @@ func (s *System) route(now Time) {
 		}
 		s.held[e.notBefore] = append(s.held[e.notBefore], e)
 	}
+	s.arrDirty = max(s.arrDirty, len(s.arrivals))
 	s.arrivals = s.arrivals[:0]
 	released := 0
 	for len(s.heldTimes) > 0 && s.heldTimes[0] <= now {
@@ -1095,6 +1121,7 @@ func (s *System) route(now Time) {
 		}
 		released += len(b)
 		delete(s.held, t)
+		clear(b)
 		s.bucketPool = append(s.bucketPool, b[:0])
 	}
 	if s.rec != nil {

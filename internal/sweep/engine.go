@@ -8,12 +8,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fdgrid/internal/sim"
 	"fdgrid/internal/trace"
 )
 
 // Runner executes one cell and fills in its result. Implementations must
-// be pure: build the cell's own sim.System, run it, derive the verdict —
-// no shared mutable state, so cells parallelize freely.
+// be pure: build the cell's own sim.System through Cell.System, run it,
+// derive the verdict. The only state a cell shares is the buffer
+// capacity of its worker's sim.Arena, which Cell.System lends the cell
+// and which never changes a run's bytes; nothing else is shared, so
+// cells parallelize freely.
 type Runner func(*Cell, *CellResult)
 
 var (
@@ -100,8 +104,39 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// arenas is the host-side free list of worker arenas: a worker takes one
+// when it starts and returns it when it exits, so arenas, and the buffer
+// capacity they hold, survive across Run calls. It keeps at most
+// GOMAXPROCS arenas, the default pool size; concurrent Run calls with
+// more workers than that allocate the rest and drop them on exit.
+var arenas struct {
+	//detlint:allow runtoken -- host-side free list of worker arenas, touched at worker start and exit, never inside a run
+	sync.Mutex
+	free []*sim.Arena
+}
+
+func takeArena() *sim.Arena {
+	arenas.Lock()
+	defer arenas.Unlock()
+	if k := len(arenas.free) - 1; k >= 0 {
+		a := arenas.free[k]
+		arenas.free = arenas.free[:k]
+		return a
+	}
+	return new(sim.Arena)
+}
+
+func putArena(a *sim.Arena) {
+	arenas.Lock()
+	defer arenas.Unlock()
+	if len(arenas.free) < runtime.GOMAXPROCS(0) {
+		arenas.free = append(arenas.free, a)
+	}
+}
+
 // Run expands the matrix and executes every cell on a worker pool. Each
-// worker runs cells to completion on isolated sim.System instances; the
+// worker owns one sim.Arena from the free list and runs cells to
+// completion on sim.System instances built from it, one at a time; the
 // result slice is ordered by cell index, so the aggregated report is
 // identical whatever the worker count. A panicking cell (a protocol bug)
 // is contained and reported as an errored cell, not a crashed sweep.
@@ -153,15 +188,17 @@ func Run(m Matrix, opt Options) (*Report, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//detlint:allow runtoken -- the documented host-side worker pool: each worker runs whole cells on isolated Systems
+		//detlint:allow runtoken -- the documented host-side worker pool: each worker runs whole cells, one System at a time from its own arena
 		go func() {
 			defer wg.Done()
+			arena := takeArena()
+			defer putArena(arena)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(cells) {
 					return
 				}
-				results[i] = runCell(runner, &cells[i])
+				results[i] = runCell(runner, &cells[i], arena)
 				if opt.OnResult != nil {
 					opt.OnResult(results[i])
 				}
@@ -181,7 +218,8 @@ func Run(m Matrix, opt Options) (*Report, error) {
 // by the cell for its whole run, so its digest lands in the result even
 // if the runner panics mid-cell. The level was validated at Cells()
 // expansion (Replay validates its own), so a bad level reads as Off.
-func runCell(runner Runner, c *Cell) (res CellResult) {
+// arena, when non-nil, is the worker's, and Cell.System builds from it.
+func runCell(runner Runner, c *Cell, arena *sim.Arena) (res CellResult) {
 	res = CellResult{
 		Index:   c.Index,
 		Seed:    c.Seed,
@@ -191,6 +229,7 @@ func runCell(runner Runner, c *Cell) (res CellResult) {
 		Oracle:  c.Oracle.Name,
 		Verdict: Pass,
 	}
+	c.arena = arena
 	if lvl, err := trace.ParseLevel(c.TraceLevel); err == nil && lvl != trace.Off {
 		c.rec = trace.New(lvl)
 	}

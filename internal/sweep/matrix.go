@@ -1,9 +1,9 @@
 // Package sweep is the parallel scenario-sweep engine: it expands a
 // declarative Matrix — dimensions: seeds × system sizes × crash patterns
 // × failure-detector class combinations — into concrete cells, fans the
-// cells out across a worker pool (each cell runs its own isolated
-// sim.System), and aggregates the per-cell results into a reproducible
-// JSON report.
+// cells out across a worker pool (each cell runs its own sim.System,
+// built from its worker's sim.Arena), and aggregates the per-cell
+// results into a reproducible JSON report.
 //
 // Because the simulator is lockstep-deterministic, a cell's result is a
 // pure function of the cell: running the same Matrix twice yields
@@ -172,6 +172,9 @@ type Cell struct {
 	// rec is the cell's decision-trace recorder, created by runCell when
 	// TraceLevel asks for one and attached to the cell's System.
 	rec *trace.Recorder
+	// arena is the running worker's, set by runCell; System builds from
+	// it. nil builds with sim.New.
+	arena *sim.Arena
 }
 
 // Param returns a protocol knob with a default.
@@ -216,14 +219,19 @@ func (c *Cell) Config() (sim.Config, error) {
 	}, nil
 }
 
-// System builds the cell's isolated simulator instance, with the
-// cell's trace recorder (if any) attached.
+// System builds the cell's simulator instance, with the cell's trace
+// recorder (if any) attached. It is built from the worker's arena when
+// the cell has one, which changes only where its buffers come from.
 func (c *Cell) System() (*sim.System, error) {
 	cfg, err := c.Config()
 	if err != nil {
 		return nil, err
 	}
-	sys, err := sim.New(cfg)
+	newSys := sim.New
+	if c.arena != nil {
+		newSys = c.arena.New
+	}
+	sys, err := newSys(cfg)
 	if err != nil {
 		return nil, err
 	}

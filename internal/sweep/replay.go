@@ -197,8 +197,8 @@ func Replay(m Matrix, index int, pert *Perturbation, level trace.Level) (*Replay
 	}
 
 	rr := &ReplayResult{Cell: base, Perturbation: pert.String(), Level: level}
-	rr.Base = runCell(runner, &base)
-	rr.Perturbed = runCell(runner, &perturbed)
+	rr.Base = runCell(runner, &base, nil)
+	rr.Perturbed = runCell(runner, &perturbed, nil)
 	rr.Div = trace.Diff(base.rec.Events(), perturbed.rec.Events())
 	if rr.Div != nil {
 		rr.Perturbed.Divergence = rr.Div.Summary

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"fdgrid/internal/sweep"
@@ -39,32 +40,41 @@ func goldenPath(t *testing.T) string {
 	return filepath.Join("testdata", "suite.golden.json")
 }
 
-// TestSuiteGolden runs the suite once, through the CI pipeline
-// in-process: every shard runs independently at the golden seed count,
-// the partial suites travel through files, and the merge must reproduce
-// the committed golden byte for byte, which is the unsharded bytes. The
-// markdown rendered from the merged reports must reproduce
-// EXPERIMENTS.md. So one suite run pins both goldens and shows that the
-// suite's one fan-out path loses nothing; make smoke and CI's suite
-// golden step cover the unsharded run.
-func TestSuiteGolden(t *testing.T) {
-	dir := t.TempDir()
+// mergedSuite runs the suite once per test binary, through the CI
+// pipeline in-process: every shard runs independently at the golden seed
+// count, the partial suites travel through files, and mergeSuites joins
+// them. TestShardMergeMatchesUnsharded and TestSuiteGolden share the
+// merged bytes, so one suite run pins both goldens; make smoke and CI's
+// suite golden step cover the unsharded run.
+var mergedSuite = sync.OnceValues(func() ([]byte, error) {
+	dir, err := os.MkdirTemp("", "experiments-shards-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
 	paths := make([]string, goldenShards)
 	for i := range paths {
 		reports, err := runSuite(suite(goldenSeeds), sweep.Options{Shard: sweep.Shard{Index: i, Count: goldenShards}}, false)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		blob, err := sweep.SuiteJSON(reports)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		paths[i] = filepath.Join(dir, fmt.Sprintf("shard-%d.json", i))
 		if err := os.WriteFile(paths[i], blob, 0o644); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	got, err := mergeSuites(paths)
+	return mergeSuites(paths)
+})
+
+// TestSuiteGolden checks every matrix of the merged suite passes, pins
+// its JSON against the committed golden, and pins the markdown rendered
+// from it against EXPERIMENTS.md.
+func TestSuiteGolden(t *testing.T) {
+	got, err := mergedSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +118,23 @@ func TestSuiteGolden(t *testing.T) {
 	}
 	if md != string(wantMD) {
 		t.Fatalf("markdown rendered from the merged suite differs from %s (got %d bytes, want %d) — a deliberate change needs -update-suite-golden", experimentsMD, len(md), len(wantMD))
+	}
+}
+
+// TestShardMergeMatchesUnsharded: the merge of the independently run
+// shards must reproduce the committed golden — the unsharded bytes — so
+// the suite's one fan-out path provably loses nothing.
+func TestShardMergeMatchesUnsharded(t *testing.T) {
+	got, err := mergedSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(goldenPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merged shard suites differ from the unsharded golden (got %d bytes, want %d)", len(got), len(want))
 	}
 }
 

@@ -5,20 +5,20 @@
 #   make test        plain unit tests
 #   make smoke       short parallel sweep through cmd/experiments
 #   make examples    go run every runnable example (drift gate)
-#   make bench       benchmarks (5 counts) + sweep wall time → $(BENCH_OUT)
-#   make bench-gate  scheduler micro-benchmarks vs the committed baseline
+#   make bench-gate  suite benchmark A/B: the merge-base with origin/main
+#                    against this checkout (about 6 min plus two builds)
 #
 # The suite fans out one way: `experiments -shard i/m -report …` per
 # shard, then `experiments -merge -golden …` over the shard files (CI's
 # sweep jobs; TestSuiteGolden runs the same path in-process).
 #
-# BENCH_OUT names the committed benchmark record; override it when
-# cutting a new baseline (e.g. `make bench BENCH_OUT=BENCH_PR4.json`).
+# The suite is benchmarked one way: suitebench (BENCHMARK.json) on each
+# side of a paired A/B. The bench_test.go micro-benchmarks are ungated
+# layer probes (`go test -bench . -run XXX .`).
 
 GO ?= go
-BENCH_OUT ?= BENCH_PR7.json
 
-.PHONY: ci vet lint build test race smoke examples bench bench-smoke bench-gate clean
+.PHONY: ci vet lint build test race smoke examples bench-gate clean
 
 ci: vet build race smoke examples
 
@@ -77,32 +77,12 @@ examples: build
 	done
 	@echo "examples clean"
 
-# Full benchmark pass: every benchmark 5 times (benchstat wants repeated
-# samples; a duration-based benchtime lets the nanosecond scheduler
-# micro-benchmarks amortize their setup while keeping the sweep-heavy
-# ones tractable), plus three timed runs of the full experiment matrix.
-# The parsed record lands in $(BENCH_OUT); a "baseline" section already
-# present there (the committed PR-1 reference) is preserved.
-bench: build
-	$(GO) test -bench . -benchmem -count 5 -benchtime 300ms -run XXX . | tee /tmp/fdgrid-bench.txt
-	rm -f /tmp/fdgrid-sweeptime.txt
-	for i in 1 2 3; do $(GO) run ./cmd/experiments -out /tmp/fdgrid-bench-sweep.md >> /tmp/fdgrid-sweeptime.txt || exit 1; done
-	cat /tmp/fdgrid-sweeptime.txt
-	$(GO) run ./cmd/bench2json -bench /tmp/fdgrid-bench.txt -sweep /tmp/fdgrid-sweeptime.txt -out $(BENCH_OUT)
-
-# The bench smoke CI runs: the scheduler and batched-delivery
-# micro-benchmarks only, enough to catch a perf-path regression that
-# breaks outright.
-bench-smoke: build
-	$(GO) test -bench 'BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkBroadcastFanout' -benchtime 1000x -run XXX .
-
-# The CI benchmark-regression gate: sample the scheduler and
-# batched-delivery micro-benchmarks a few times and compare medians
-# against the committed record; a >25% median regression fails (see
-# cmd/benchgate for why the threshold is generous).
-bench-gate: build
-	$(GO) test -bench 'BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkBroadcastFanout' -benchtime 200ms -count 5 -run XXX . | tee /tmp/fdgrid-bench-gate.txt
-	$(GO) run ./cmd/benchgate -baseline $(BENCH_OUT) -bench /tmp/fdgrid-bench-gate.txt -match 'BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkBroadcastFanout' -threshold 0.25
+# The suite regression gate: run every BENCHMARK.json workload on the
+# merge-base and on this checkout in 5 alternating pairs and fail when a
+# run fails its correctness check or an end-to-end metric's median is
+# worse than the base's by more than its bound (see cmd/benchgate).
+bench-gate:
+	$(GO) run ./cmd/benchgate -base $$(git merge-base HEAD origin/main)
 
 clean:
 	rm -f /tmp/fdgrid-smoke.md /tmp/fdgrid-smoke.json

@@ -5,7 +5,9 @@
 // cells of one matrix fan out across a worker pool), and render formats
 // the finished reports as markdown in one pass, recording the paper's
 // claim next to the measured outcome. The per-cell results are
-// deterministic, so the rendered report is byte-stable run to run.
+// deterministic and no host timing enters the markdown, so the rendered
+// report is byte-stable run to run. The suite's cost is measured
+// outside it, by suitebench (BENCHMARK.json).
 //
 // The suite also shards: `-shard i/m` runs only every m-th cell of
 // every matrix and writes a partial JSON suite without rendering; m
@@ -49,7 +51,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-matrix progress to stderr")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the sweep here")
 		memprof   = flag.String("memprofile", "", "write a heap profile (after the sweep, post-GC) here")
-		benchFile = flag.String("bench", "BENCH_PR7.json", "benchmark record to render in the EXP-PERF section")
 		shardSpec = flag.String("shard", "", "run only shard i/m of every matrix (format \"i/m\"); requires -report and skips the markdown output")
 		merge     = flag.Bool("merge", false, "merge the shard suite files given as arguments into one suite; requires -report")
 		golden    = flag.String("golden", "", "after writing the suite JSON, byte-compare it against this file and fail on any difference")
@@ -121,7 +122,7 @@ func main() {
 	}
 
 	if shard.Count == 0 {
-		md, err := render(reports, *benchFile)
+		md, err := render(reports)
 		if err != nil {
 			fatal(err)
 		}

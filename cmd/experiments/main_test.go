@@ -29,10 +29,9 @@ import (
 var updateSuiteGolden = flag.Bool("update-suite-golden", false, "rewrite the experiments suite golden and EXPERIMENTS.md")
 
 const (
-	goldenSeeds    = 3 // must match the CI invocation's -seeds
-	goldenShards   = 3
-	experimentsMD  = "../../EXPERIMENTS.md"
-	benchRecordRel = "../../BENCH_PR7.json" // the -bench default, seen from this directory
+	goldenSeeds   = 3 // must match the CI invocation's -seeds
+	goldenShards  = 3
+	experimentsMD = "../../EXPERIMENTS.md"
 )
 
 func goldenPath(t *testing.T) string {
@@ -87,7 +86,7 @@ func TestSuiteGolden(t *testing.T) {
 			t.Errorf("matrix %s", r.Summary())
 		}
 	}
-	md, err := render(reports, benchRecordRel)
+	md, err := render(reports)
 	if err != nil {
 		t.Fatal(err)
 	}

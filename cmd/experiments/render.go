@@ -1,13 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"strings"
 
-	"fdgrid/internal/benchrec"
 	"fdgrid/internal/cliutil"
 	"fdgrid/internal/core"
 	"fdgrid/internal/ids"
@@ -22,9 +18,9 @@ type reportSet map[string]*sweep.Report
 // render formats the finished, unsharded suite reports as
 // EXPERIMENTS.md in one pass. Each section looks its reports up by
 // matrix name and reads sizes, combos and substrates from r.Matrix;
-// EXP-CF replays one ORACLE-kset-flap cell and EXP-PERF formats the
-// benchmark record at benchFile.
-func render(reports []*sweep.Report, benchFile string) (string, error) {
+// EXP-CF replays one ORACLE-kset-flap cell. The markdown is a pure
+// function of the reports: no host timing enters it.
+func render(reports []*sweep.Report) (string, error) {
 	rs := make(reportSet, len(reports))
 	for _, r := range reports {
 		rs[r.Matrix.Name] = r
@@ -65,7 +61,6 @@ reproduction targets.
 	if err := expCounterfactual(&b, rs["ORACLE-kset-flap"].Matrix); err != nil {
 		return "", err
 	}
-	expPerf(&b, benchFile)
 	return b.String(), nil
 }
 
@@ -617,79 +612,4 @@ func expOracle(b *strings.Builder, rs reportSet) {
 		"every generated oracle script conforms to its declared class under the swept patterns, and "+
 			"k-set agreement, the Ψ→Ω chain and the two-wheels addition all keep their guarantees under "+
 			"flapping, bursty and scope-churning oracles up to n = 128")
-}
-
-// expPerf renders the committed benchmark record (EXP-PERF): the
-// record's embedded baseline scheduler versus the zero-handoff
-// scheduler, per benchmark and for the full suite. Regenerate the
-// record with `make bench`; this section only formats the benchmark
-// record, so the rendered report stays a pure function of its inputs.
-func expPerf(b *strings.Builder, path string) {
-	section(b, "EXP-PERF · infrastructure — scheduler cost",
-		"(not a paper claim) Simulation-based exploration scales only if a virtual tick is nearly free: "+
-			"the zero-handoff scheduler passes the run token process-to-process with no scheduler goroutine, "+
-			"no locks on simulation state and interned-tag metrics.")
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(b, "No benchmark record at %s (run `make bench` to create it).\n", path)
-		return
-	}
-	var rec benchrec.Record
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		fmt.Fprintf(b, "Unreadable benchmark record %s: %v\n", path, err)
-		return
-	}
-	var baseline *benchrec.Record
-	if len(rec.Baseline) > 0 {
-		baseline = new(benchrec.Record)
-		if err := json.Unmarshal(rec.Baseline, baseline); err != nil {
-			baseline = nil
-		}
-	}
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
-		"benchmark", "PR-1 median ns/op", "current median ns/op", "speedup"}}
-	names := make([]string, 0, len(rec.Benchmarks))
-	for name := range rec.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	others := 0
-	for _, name := range names {
-		cur := benchrec.Median(rec.Benchmarks[name].NsOp)
-		if cur == 0 {
-			continue
-		}
-		var base float64
-		if baseline != nil {
-			if bl, ok := baseline.Benchmarks[name]; ok {
-				base = benchrec.Median(bl.NsOp)
-			}
-		}
-		if base == 0 {
-			others++ // recorded, but with no baseline reference point
-			continue
-		}
-		tab.Add(name, fmt.Sprintf("%.1f", base), fmt.Sprintf("%.1f", cur),
-			fmt.Sprintf("%.2fx", base/cur))
-	}
-	b.WriteString(tab.String())
-	if others > 0 {
-		fmt.Fprintf(b, "\n(%d further benchmarks without a PR-1 reference are recorded in the file.)\n", others)
-	}
-	if cur := benchrec.Median(rec.SweepWallS); cur > 0 {
-		cells := func(r *benchrec.Record) int {
-			if r.SweepCells > 0 {
-				return r.SweepCells
-			}
-			return 151 // records predating the sweep_cells field timed the original 151-cell suite
-		}
-		if baseline != nil {
-			if base := benchrec.Median(baseline.SweepWallS); base > 0 {
-				fmt.Fprintf(b, "\nFull experiment suite: %.2fs (%d cells, PR-1 scheduler) → %.2fs (%d cells, current). %s\n",
-					base, cells(baseline), cur, cells(&rec), rec.Machine)
-				return
-			}
-		}
-		fmt.Fprintf(b, "\nFull experiment suite: %.2fs (%d cells). %s\n", cur, cells(&rec), rec.Machine)
-	}
 }

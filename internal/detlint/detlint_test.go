@@ -223,9 +223,9 @@ func TestScopes(t *testing.T) {
 	}{
 		{"wallclock", "internal/sim", true, true},
 		{"wallclock", "cmd/experiments", true, false},
-		{"wallclock", "internal/benchrec", true, false},
+		{"wallclock", "internal/detlint", true, false},
 		{"wallclock", "internal/cliutil", true, false},
-		{"wallclock", "cmd/benchgate", true, false},
+		{"wallclock", "cmd/benchgate", true, false}, // times the benchmark runs it drives
 		{"globalrand", "internal/sweep", true, true},
 		{"globalrand", "internal/cliutil", true, false},
 		{"runtoken", "internal/fd", true, true},

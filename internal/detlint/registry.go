@@ -19,9 +19,8 @@ var Registry = []*Analyzer{
 // of the run Config. internal/sweep is included — its engine is the
 // host-side boundary, and exactly the documented worker-pool and
 // report-timing sites carry allows. Host-side utilities that never
-// touch a run (benchrec's benchmark parsing, cliutil's tables) and
-// cmd/* are out of scope for these rules; maporder still covers them
-// through ScopeModule.
+// touch a run (cliutil's tables) and cmd/* are out of scope for these
+// rules; maporder still covers them through ScopeModule.
 var deterministicPkgs = map[string]bool{
 	"internal/sim":       true,
 	"internal/fd":        true,
@@ -40,18 +39,17 @@ var deterministicPkgs = map[string]bool{
 // hostSidePkgs is the explicit complement of the deterministic scope
 // under internal/: packages that run on the host side of the
 // determinism boundary, where wall-clock reads, goroutines and real
-// I/O are allowed (benchmark parsing, terminal output, the linter's own
-// toolchain calls) and the deterministic-scope rules do not apply.
-// maporder still covers them via ScopeModule — canonical bytes must
-// not leak map order no matter which side produced them.
+// I/O are allowed (terminal output, the linter's own toolchain calls)
+// and the deterministic-scope rules do not apply. maporder still
+// covers them via ScopeModule — canonical bytes must not leak map
+// order no matter which side produced them.
 //
 // Every internal/* package must appear in exactly one of these two
 // maps; TestInternalPackagesClassified enforces the partition, so a
 // new package cannot land without a deliberate classification.
 var hostSidePkgs = map[string]bool{
-	"internal/benchrec": true, // benchmark-record parsing, never inside a run
-	"internal/cliutil":  true, // terminal table rendering
-	"internal/detlint":  true, // this linter: shells out to the go toolchain
+	"internal/cliutil": true, // terminal table rendering
+	"internal/detlint": true, // this linter: shells out to the go toolchain
 }
 
 // registered returns the analyzer with the given rule name, nil if

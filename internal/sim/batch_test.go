@@ -98,62 +98,3 @@ func TestBatchedDeliveryMetricsExact(t *testing.T) {
 		}
 	}
 }
-
-// TestFullDeliveryPathsAgree pins the two full-delivery forms against
-// each other: the direct-append form (small ticks) and the three-pass
-// scatter form (large ticks) must produce bit-identical runs, because
-// which one executes depends only on per-tick load (fullScatterMin).
-// The test runs the same crash-bearing workload once with each form
-// forced and compares every process's full delivery trace and the
-// metrics. This is the invariant that lets the goldens stay valid as
-// the threshold moves.
-func TestFullDeliveryPathsAgree(t *testing.T) {
-	const (
-		n     = 16
-		ticks = 20
-	)
-	tag := Intern("batch.flood")
-	trace := func() (map[ids.ProcID][]Message, MetricsSnapshot) {
-		got := make(map[ids.ProcID][]Message)
-		sys := MustNew(Config{
-			N: n, T: 2, Seed: 9, MaxSteps: ticks,
-			Bandwidth: n * n,
-			Crashes:   map[ids.ProcID]Time{2: 5, 11: 12},
-		})
-		sys.SpawnAll(func(env *Env) {
-			id := env.ID()
-			for {
-				next := env.Now() + 1
-				env.Broadcast(tag, nil)
-				for {
-					m, ok := env.StepUntil(next)
-					if !ok {
-						break
-					}
-					m.Payload = nil // payloads are compared by the maps below
-					got[id] = append(got[id], m)
-				}
-			}
-		})
-		sys.Run(nil)
-		return got, sys.Metrics().Snapshot()
-	}
-
-	defer func(saved int) { fullScatterMin = saved }(fullScatterMin)
-	fullScatterMin = 1 << 30 // every tick takes the direct-append form
-	direct, directMetrics := trace()
-	fullScatterMin = 1 // every tick takes the three-pass scatter form
-	scatter, scatterMetrics := trace()
-
-	if !reflect.DeepEqual(directMetrics, scatterMetrics) {
-		t.Fatalf("metrics diverge:\ndirect:  %+v\nscatter: %+v", directMetrics, scatterMetrics)
-	}
-	for p := ids.ProcID(1); p <= n; p++ {
-		if !reflect.DeepEqual(direct[p], scatter[p]) {
-			t.Fatalf("delivery trace of process %d diverges between the two forms", p)
-		}
-	}
-	if len(direct[1]) == 0 {
-		t.Fatal("workload delivered nothing; the comparison is vacuous")
-	}
-}

@@ -349,16 +349,11 @@ type System struct {
 	// state.
 	batched    pset
 	batchStart []int
-	// selPairs / selSlot / selNext are the reusable buffers of the
-	// full-delivery fast path: when bandwidth covers the whole eligible
-	// set, selection swap-removes run over compact (index, dest) pairs,
-	// consuming the identical draw sequence while assigning each message
-	// its final inbox slot (selSlot); selNext tracks the next free slot
-	// per destination (doubling as the per-destination count while the
-	// pairs are built), length N+1.
-	selPairs []selPair
-	selSlot  []int32
-	selNext  []int32
+	// selIdx is the reusable index permutation of the full-delivery
+	// path: when bandwidth covers the whole eligible set, the selection
+	// swap-removes over eligible's indices, consuming the same draw
+	// sequence as the partial path's swap-removes over the messages.
+	selIdx []int32
 	// eligDirty is the high-water mark of stale entries in eligible's
 	// recycled capacity after full-delivery truncations. The wipe that
 	// keeps payload references from outliving their delivery is deferred
@@ -498,7 +493,6 @@ func newSystem(cfg Config, a *Arena) (*System, error) {
 	s.pw = pwords(cfg.N)
 	s.deadlines = make([]Time, cfg.N+1)
 	s.batchStart = make([]int, cfg.N+1)
-	s.selNext = make([]int32, cfg.N+1)
 	for _, at := range cfg.Crashes {
 		s.crashTimes = append(s.crashTimes, at)
 	}
@@ -858,21 +852,6 @@ func (s *System) intn(n int) int {
 // flushBatches then pays the per-destination costs (crash check,
 // wake-hint, counter bumps) once per (destination, tag) batch instead
 // of once per message.
-// selPair is one entry of the full-delivery selection: the message's
-// index in eligible and its destination, compact enough (8 bytes) that
-// the selection loop's random swaps stay cache-resident at sizes where
-// the eligible array itself does not.
-type selPair struct{ i, to int32 }
-
-// fullScatterMin is the eligible size (in messages, ~1 MB of Message
-// data) above which the full-delivery path switches from direct inbox
-// appends to the three-pass scatter form: below it the random reads of
-// eligible hit cache and the extra passes only add overhead, above it
-// the dependent random reads dominate and sequential passes win. A var
-// only so tests can force either form over the same workload and pin
-// their equivalence; nothing else may write it.
-var fullScatterMin = 16384
-
 func (s *System) deliverPhase(now Time) {
 	s.route(now)
 	k := s.cfg.bandwidth()
@@ -888,96 +867,29 @@ func (s *System) deliverPhase(now Time) {
 	}
 	if n := len(s.eligible); k >= n {
 		// Full delivery: every eligible message lands this tick, so the
-		// draws only decide per-destination arrival order.
-		//
-		// Small ticks (eligible comfortably cache-resident) run the
-		// swap-remove selection over an index permutation and append
-		// each chosen message straight onto its destination inbox.
-		if n < fullScatterMin {
-			for q := 1; q <= s.cfg.N; q++ {
-				s.batchStart[q] = len(s.procs[ids.ProcID(q)].inbox)
-			}
-			if cap(s.selSlot) < n {
-				s.selSlot = make([]int32, n)
-			}
-			idx := s.selSlot[:n]
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-			for sz := n; sz > 0; sz-- {
-				j := s.intn(sz)
-				m := &s.eligible[idx[j]]
-				idx[j] = idx[sz-1]
-				m.DeliveredAt = now
-				p := s.procs[m.To]
-				p.inbox = append(p.inbox, *m)
-			}
-			if n > s.eligDirty {
-				s.eligDirty = n
-			}
-			s.eligible = s.eligible[:0]
-			s.inflight.Add(-int64(n))
-			s.flushAll(now)
-			if s.rec != nil {
-				s.rec.Deliver(int64(now), n)
-			}
-			return
-		}
-		// Large ticks: the selection loop above would spend its time on
-		// dependent random reads of the (now cache-breaking) eligible
-		// array, so restructure it into three passes that touch the big
-		// array only sequentially:
-		//
-		//  1. one sequential scan builds compact (index, dest) pairs and
-		//     per-destination counts, and the inboxes are extended once
-		//     per destination to their final lengths;
-		//  2. the unchanged swap-remove selection runs over the 8-byte
-		//     pairs (cache-resident even at n², where eligible is not),
-		//     assigning each message its final inbox slot in draw order;
-		//  3. one sequential scan moves the messages, stamped, into
-		//     their slots — independent scattered writes instead of
-		//     dependent scattered reads.
-		//
-		// Draw consumption (Intn(n), Intn(n−1), …) and each inbox's
-		// resulting content and order are bit-identical to the general
-		// loop below: slots are handed out in draw order per
-		// destination, exactly where per-message appends would land.
-		// Eligible is truncated without a wipe (eligDirty defers that
-		// to the next idle tick); every extended inbox slot is written
-		// exactly once in pass 3 before anything reads it.
-		if cap(s.selPairs) < n {
-			s.selPairs = make([]selPair, n)
-			s.selSlot = make([]int32, n)
-		}
-		sel := s.selPairs[:n]
-		slot := s.selSlot[:n]
-		next := s.selNext
-		for i := range sel {
-			to := s.eligible[i].To
-			sel[i] = selPair{i: int32(i), to: int32(to)}
-			next[to]++
-		}
+		// draws only decide per-destination arrival order. The
+		// swap-remove selection runs over an index permutation and
+		// appends each chosen message straight onto its destination
+		// inbox; eligible is truncated without a wipe (eligDirty defers
+		// that to the next idle tick).
 		for q := 1; q <= s.cfg.N; q++ {
-			p := s.procs[ids.ProcID(q)]
-			s.batchStart[q] = len(p.inbox)
-			if c := next[q]; c > 0 {
-				p.inbox = growInbox(p.inbox, int(c))
-				next[q] = int32(s.batchStart[q])
-			}
+			s.batchStart[q] = len(s.procs[ids.ProcID(q)].inbox)
+		}
+		if cap(s.selIdx) < n {
+			s.selIdx = make([]int32, n)
+		}
+		idx := s.selIdx[:n]
+		for i := range idx {
+			idx[i] = int32(i)
 		}
 		for sz := n; sz > 0; sz-- {
 			j := s.intn(sz)
-			e := sel[j]
-			sel[j] = sel[sz-1]
-			slot[e.i] = next[e.to]
-			next[e.to]++
-		}
-		for i := range s.eligible {
-			m := &s.eligible[i]
+			m := &s.eligible[idx[j]]
+			idx[j] = idx[sz-1]
 			m.DeliveredAt = now
-			s.procs[m.To].inbox[slot[i]] = *m
+			p := s.procs[m.To]
+			p.inbox = append(p.inbox, *m)
 		}
-		clear(next)
 		if n > s.eligDirty {
 			s.eligDirty = n
 		}
@@ -1275,18 +1187,6 @@ func growEligible(e []Message, n int) []Message {
 		e = grown
 	}
 	return e[:len(e)+n]
-}
-
-// growInbox is growEligible for inboxes: it extends b by n elements,
-// reallocating like append would, and the caller must overwrite all n
-// new elements.
-func growInbox(b []Message, n int) []Message {
-	if len(b)+n > cap(b) {
-		grown := make([]Message, len(b), max(2*cap(b), len(b)+n))
-		copy(grown, b)
-		b = grown
-	}
-	return b[:len(b)+n]
 }
 
 // holdFor computes the release time for a (from, to) copy accepted at

@@ -607,14 +607,17 @@ func BenchmarkSchedulerSend(b *testing.B) {
 
 // BenchmarkDeliverBatch probes the full-delivery path with ticks far
 // larger than the suite's: all n processes broadcast each tick and
-// bandwidth admits the full n² messages, so one op (one virtual tick)
-// is n² message deliveries grouped into n per-destination batches. The
-// suite's cells run with bandwidth n. In a single-worker full-suite
-// run, 94 553 of its 339 850 delivery ticks delivered every eligible
-// message, never more than 256 at once; the other 245 297 were
-// bandwidth-limited and took the partial path. So at n = 256 this
-// probe's 65 536-message ticks stress the cache in a way no suite tick
-// does: read it as a layer probe, not as a proxy for suite cost.
+// bandwidth admits all n² copies, so one op (one virtual tick) is n
+// send records, n² 8-byte copy refs drawn out of eligible, and n²
+// Messages built from their records and appended to n per-destination
+// batches. The record table holds only the tick's n records, so each
+// copy's record lookup is cache-resident. The suite's cells run with
+// bandwidth n. In a single-worker full-suite run, 94 553 of its
+// 339 850 delivery ticks delivered every eligible message, never more
+// than 256 at once; the other 245 297 were bandwidth-limited and took
+// the partial path. So at n = 256 this probe's 65 536-message ticks
+// stress the cache in a way no suite tick does: read it as a layer
+// probe, not as a proxy for suite cost.
 func BenchmarkDeliverBatch(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -639,9 +642,11 @@ func BenchmarkDeliverBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkBroadcastFanout measures the single-stamp broadcast fan-out:
-// one process fires a burst of broadcasts per tick, the other n−1 only
-// drain. One op is one tick: burst×n sends and deliveries plus n wakes.
+// BenchmarkBroadcastFanout measures the single-record broadcast
+// fan-out: one process fires a burst of broadcasts per tick, the other
+// n−1 only drain. One op is one tick: burst send records, burst×n copy
+// refs written into eligible and drawn back out, burst×n Messages built
+// from their records into the inboxes, plus n wakes.
 // Each tick is a full-delivery tick of 4 096 (n = 64) or 16 384
 // (n = 256) messages, 16 to 64 times the largest full-delivery tick
 // the suite produces (see BenchmarkDeliverBatch).

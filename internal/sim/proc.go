@@ -17,8 +17,29 @@ type Message struct {
 	DeliveredAt Time
 }
 
+// sendRec is one accepted Send, Broadcast or Multicast: the fields all
+// of its copies share, stored once in System.recs. left counts the
+// copies not yet taken by the delivery phase; when it reaches zero the
+// record is wiped, dropping its payload, and its index goes on the free
+// list for the next send to reuse.
+type sendRec struct {
+	from    ids.ProcID
+	tag     Tag
+	left    int32
+	payload any
+	sentAt  Time
+}
+
+// copyRef is one in-flight copy: the index of its send record and its
+// destination. The delivery phase builds the copy's Message from the
+// record as it appends it to the destination's inbox.
+type copyRef struct {
+	rec int32
+	to  int32
+}
+
 type envelope struct {
-	msg       Message
+	ref       copyRef
 	notBefore Time // scripted holds: earliest deliverable tick
 }
 
@@ -108,12 +129,7 @@ func (e *Env) Send(to ids.ProcID, tag Tag, payload any) {
 	if to < 1 || int(to) > e.N() {
 		panic(fmt.Sprintf("sim: Send to unknown process %d", to))
 	}
-	e.p.sys.send(Message{
-		From:    e.p.id,
-		To:      to,
-		Tag:     tag,
-		Payload: payload,
-	})
+	e.p.sys.send(e.p.id, to, tag, payload)
 }
 
 // Broadcast sends the message to every process, itself included

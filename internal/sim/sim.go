@@ -61,6 +61,7 @@ import (
 	"iter"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -314,20 +315,27 @@ type System struct {
 	stoppedEarly bool
 	ended        bool
 
-	// Network state: messages accepted but not yet routed (arrivals),
-	// deliverable messages (eligible) and messages bucketed by the tick
-	// their scripted hold releases them (held, keys sorted in heldTimes).
-	// bucketPool recycles drained hold buckets, wiped, across a run.
-	// eligible drops the envelope wrapper: a message's notBefore is spent
-	// the moment it becomes eligible, so the list moves bare 56-byte
-	// Messages, not 64-byte envelopes. arrDirty is the high-water mark of
-	// stale entries in arrivals' recycled capacity (route truncates it
-	// without a wipe); reclaim clears up to it.
+	// Network state. Each accepted send is stored once, as a record in
+	// recs (freeRecs lists the wiped slots a later send reuses), and each
+	// of its copies travels as an 8-byte copyRef to that record: through
+	// arrivals (accepted, not yet routed), the hold buckets (held, keyed
+	// by the tick their scripted hold releases them, keys sorted in
+	// heldTimes) and eligible (deliverable). The delivery phase builds a
+	// copy's Message from its record as it appends it to the inbox, and
+	// frees the record when it takes the last copy: a payload lives until
+	// its last copy is taken, or until the run ends. bucketPool recycles
+	// drained hold buckets, wiped, across a run. eligDirty and arrDirty
+	// are the high-water marks of eligible and arrivals, whose recycled
+	// capacity holds stale refs (no payload, so no wipe is due before the
+	// run ends); reclaim clears up to them.
+	recs       []sendRec
+	freeRecs   []int32
 	arrivals   []envelope
-	eligible   []Message
+	eligible   []copyRef
 	held       map[Time][]envelope
 	heldTimes  []Time
 	bucketPool [][]envelope
+	eligDirty  int
 	arrDirty   int
 
 	// arena, when non-nil, lent this System its buffers and takes them
@@ -343,24 +351,11 @@ type System struct {
 	// touched destinations in batched and each destination's pre-tick
 	// inbox length in batchStart. The flush pass then pays the
 	// per-destination costs once per batch: the crash check (dropping the
-	// whole tail, zeroed so no payload outlives the drop), the
-	// DeliveredAt stamps, the wake-hint and the per-(destination, tag)
-	// counter bumps. Owned by the run token like the rest of the network
-	// state.
+	// whole tail, zeroed so no payload outlives the drop), the wake-hint
+	// and the per-(destination, tag) counter bumps. Owned by the run
+	// token like the rest of the network state.
 	batched    pset
 	batchStart []int
-	// selIdx is the reusable index permutation of the full-delivery
-	// path: when bandwidth covers the whole eligible set, the selection
-	// swap-removes over eligible's indices, consuming the same draw
-	// sequence as the partial path's swap-removes over the messages.
-	selIdx []int32
-	// eligDirty is the high-water mark of stale entries in eligible's
-	// recycled capacity after full-delivery truncations. The wipe that
-	// keeps payload references from outliving their delivery is deferred
-	// to the first tick with no eligible traffic: a busy network
-	// overwrites the recycled capacity every tick anyway, so the
-	// sequential clear runs when traffic pauses, not per tick.
-	eligDirty int
 
 	// holdUntil is the per-(from,to) release matrix precomputed from the
 	// Since=0 entries of Config.Holds at New time, flattened to
@@ -846,87 +841,64 @@ func (s *System) intn(n int) int {
 // recipients are woken by the subsequent wake phase.
 //
 // Delivery is batched: the selection loop (whose draw sequence defines
-// the run and is bit-for-bit unchanged) appends each chosen message,
-// stamped, straight onto its destination inbox — selection order is
-// inbox order, exactly as per-message delivery appended them — and
-// flushBatches then pays the per-destination costs (crash check,
-// wake-hint, counter bumps) once per (destination, tag) batch instead
-// of once per message.
+// the run and is bit-for-bit unchanged) swap-removes each chosen copy
+// from eligible and appends its Message, stamped, straight onto its
+// destination inbox — selection order is inbox order, exactly as
+// per-message delivery appended them — and flushBatches (flushAll when
+// the whole eligible list lands) then pays the per-destination costs
+// (crash check, wake-hint, counter bumps) once per (destination, tag)
+// batch instead of once per message.
 func (s *System) deliverPhase(now Time) {
 	s.route(now)
-	k := s.cfg.bandwidth()
-	if len(s.eligible) == 0 {
-		if s.eligDirty > 0 {
-			// Traffic paused: wipe the stale recycled capacity left by
-			// full-delivery truncations in one sequential clear, so no
-			// payload reference outlives its delivery past the pause.
-			clear(s.eligible[:s.eligDirty])
-			s.eligDirty = 0
-		}
+	n := len(s.eligible)
+	if n == 0 {
 		return
 	}
-	if n := len(s.eligible); k >= n {
-		// Full delivery: every eligible message lands this tick, so the
-		// draws only decide per-destination arrival order. The
-		// swap-remove selection runs over an index permutation and
-		// appends each chosen message straight onto its destination
-		// inbox; eligible is truncated without a wipe (eligDirty defers
-		// that to the next idle tick).
+	s.eligDirty = max(s.eligDirty, n)
+	k := min(s.cfg.bandwidth(), n)
+	// full: every eligible copy lands this tick, so the draws only decide
+	// per-destination arrival order, and flushAll scans every inbox from
+	// its batchStart, recorded here, instead of the batched set.
+	full := k == n
+	if full {
 		for q := 1; q <= s.cfg.N; q++ {
 			s.batchStart[q] = len(s.procs[ids.ProcID(q)].inbox)
 		}
-		if cap(s.selIdx) < n {
-			s.selIdx = make([]int32, n)
-		}
-		idx := s.selIdx[:n]
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		for sz := n; sz > 0; sz-- {
-			j := s.intn(sz)
-			m := &s.eligible[idx[j]]
-			idx[j] = idx[sz-1]
-			m.DeliveredAt = now
-			p := s.procs[m.To]
-			p.inbox = append(p.inbox, *m)
-		}
-		if n > s.eligDirty {
-			s.eligDirty = n
-		}
-		s.eligible = s.eligible[:0]
-		s.inflight.Add(-int64(n))
-		s.flushAll(now)
-		if s.rec != nil {
-			s.rec.Deliver(int64(now), n)
-		}
-		return
 	}
-	delivered := 0
-	for i := 0; i < k && len(s.eligible) > 0; i++ {
-		j := s.intn(len(s.eligible))
-		m := s.eligible[j]
-		last := len(s.eligible) - 1
-		s.eligible[j] = s.eligible[last]
-		s.eligible[last] = Message{}
-		s.eligible = s.eligible[:last]
-		m.DeliveredAt = now
-		to := m.To
-		if !s.batched.has(to) {
+	for sz := n; sz > n-k; sz-- {
+		j := s.intn(sz)
+		c := s.eligible[j]
+		s.eligible[j] = s.eligible[sz-1]
+		to := ids.ProcID(c.to)
+		if !full && !s.batched.has(to) {
 			s.batched.set(to)
 			s.batchStart[to] = len(s.procs[to].inbox)
 		}
 		p := s.procs[to]
-		p.inbox = append(p.inbox, m)
-		delivered++
+		p.inbox = append(p.inbox, s.take(c, now))
 	}
-	if delivered == 0 {
-		return
+	s.eligible = s.eligible[:n-k]
+	s.inflight.Add(-int64(k))
+	if full {
+		s.flushAll(now)
+	} else {
+		s.flushBatches(now)
 	}
-	s.inflight.Add(-int64(delivered))
-	s.flushBatches(now)
 	if s.rec != nil {
-		s.rec.Deliver(int64(now), delivered)
+		s.rec.Deliver(int64(now), k)
 	}
+}
+
+// take builds copy c's Message, delivered at now, from its send record,
+// and frees the record when c is its last copy.
+func (s *System) take(c copyRef, now Time) Message {
+	r := &s.recs[c.rec]
+	m := Message{From: r.from, To: ids.ProcID(c.to), Tag: r.tag, Payload: r.payload, SentAt: r.sentAt, DeliveredAt: now}
+	if r.left--; r.left == 0 {
+		*r = sendRec{}
+		s.freeRecs = append(s.freeRecs, c.rec)
+	}
+	return m
 }
 
 // flushBatches lands the inbox tails the selection loop appended this
@@ -1006,7 +978,7 @@ func (s *System) route(now Time) {
 	}
 	for _, e := range s.arrivals {
 		if e.notBefore <= now {
-			s.eligible = append(s.eligible, e.msg)
+			s.eligible = append(s.eligible, e.ref)
 			continue
 		}
 		if _, ok := s.held[e.notBefore]; !ok {
@@ -1029,7 +1001,7 @@ func (s *System) route(now Time) {
 		s.heldTimes = s.heldTimes[1:]
 		b := s.held[t]
 		for i := range b {
-			s.eligible = append(s.eligible, b[i].msg)
+			s.eligible = append(s.eligible, b[i].ref)
 		}
 		released += len(b)
 		delete(s.held, t)
@@ -1090,103 +1062,95 @@ func (s *System) nextTime(now Time) Time {
 	return next
 }
 
-// send enqueues a message into the network. Called from process
-// mains, which hold the run token — so the queues need no lock.
-// send owns the SentAt stamp: it is set here, at acceptance time, and
-// nowhere else; sends from an already-crashed process are refused, so
-// every accepted message satisfies SentAt < crash time of its sender.
-func (s *System) send(m Message) {
-	now := s.Now()
-	if s.pattern.Crashed(m.From, now) {
-		return
+// send enqueues one copy of a message to process to. Called from
+// process mains, which hold the run token — so the queues need no lock.
+func (s *System) send(from, to ids.ProcID, tag Tag, payload any) {
+	if rec, now, ok := s.accept(from, tag, payload, 1); ok {
+		s.enqueue(copyRef{rec: rec, to: int32(to)}, from, now)
 	}
-	m.SentAt = now
-	if s.holdUntil == nil {
-		// No scripted holds: the message would be routed to the eligible
-		// tail, unconditionally, by the next delivery phase — append it
-		// there directly and skip the arrivals staging. Selection (which
-		// permutes eligible) never runs between this send and that
-		// routing point, so the list is exactly what routing would build.
-		s.eligible = append(s.eligible, m)
-	} else {
-		s.arrivals = append(s.arrivals, envelope{msg: m, notBefore: s.holdFor(m.From, m.To, now)})
-	}
-	s.inflight.Add(1)
-	s.metrics.countSent(m.Tag)
 }
 
 // broadcast is the fan-out fast path behind Env.Broadcast: the sender
-// liveness check, clock read, and SentAt stamp are paid once for the
+// liveness check, clock read and send record are paid once for the
 // whole destination set instead of once per copy. The caller holds the
 // run token for the entire fan-out, so the clock and the crash
 // predicate cannot change mid-loop — destination order (1..N) and every
 // per-copy hold window match N individual sends exactly.
 func (s *System) broadcast(from ids.ProcID, tag Tag, payload any) {
-	now := s.Now()
-	if s.pattern.Crashed(from, now) {
+	n := s.cfg.N
+	rec, now, ok := s.accept(from, tag, payload, n)
+	if !ok {
 		return
 	}
-	m := Message{From: from, Tag: tag, Payload: payload, SentAt: now}
-	n := s.cfg.N
 	if s.holdUntil == nil {
 		// Grow once, then write the copies by index: the per-copy cost is
-		// one message store, with no per-append bounds/grow bookkeeping.
+		// one 8-byte store, with no per-append bounds/grow bookkeeping.
 		base := len(s.eligible)
-		s.eligible = growEligible(s.eligible, n)
-		dst := s.eligible[base : base+n]
+		s.eligible = slices.Grow(s.eligible, n)[:base+n]
+		dst := s.eligible[base:]
 		for q := range dst {
-			m.To = ids.ProcID(q + 1)
-			dst[q] = m
+			dst[q] = copyRef{rec: rec, to: int32(q + 1)}
 		}
-	} else {
-		for q := 1; q <= n; q++ {
-			m.To = ids.ProcID(q)
-			s.arrivals = append(s.arrivals, envelope{msg: m, notBefore: s.holdFor(from, m.To, now)})
-		}
+		return
 	}
-	s.inflight.Add(int64(n))
-	s.metrics.countSentN(tag, int64(n))
+	for q := 1; q <= n; q++ {
+		s.enqueue(copyRef{rec: rec, to: int32(q)}, from, now)
+	}
 }
 
 // multicast fans one payload out to every member of dests (ascending),
-// with the same single-stamp fast path as broadcast.
+// with the same single-record fast path as broadcast.
 func (s *System) multicast(from ids.ProcID, dests ids.Set, tag Tag, payload any) {
 	count := dests.CountIn(s.cfg.N)
 	if count == 0 {
 		return
 	}
-	now := s.Now()
-	if s.pattern.Crashed(from, now) {
+	rec, now, ok := s.accept(from, tag, payload, count)
+	if !ok {
 		return
 	}
-	m := Message{From: from, Tag: tag, Payload: payload, SentAt: now}
-	if s.holdUntil == nil {
-		dests.ForEachIn(s.cfg.N, func(q ids.ProcID) bool {
-			m.To = q
-			s.eligible = append(s.eligible, m)
-			return true
-		})
+	dests.ForEachIn(s.cfg.N, func(q ids.ProcID) bool {
+		s.enqueue(copyRef{rec: rec, to: int32(q)}, from, now)
+		return true
+	})
+}
+
+// accept admits a send of count copies into the network and returns its
+// send record's index and the acceptance time. accept owns the SentAt
+// stamp: it is set here, at acceptance time, and nowhere else. A send
+// from an already-crashed process is refused (ok is false), so every
+// accepted message satisfies SentAt < crash time of its sender.
+func (s *System) accept(from ids.ProcID, tag Tag, payload any, count int) (rec int32, now Time, ok bool) {
+	now = s.Now()
+	if s.pattern.Crashed(from, now) {
+		return 0, now, false
+	}
+	r := sendRec{from: from, tag: tag, left: int32(count), payload: payload, sentAt: now}
+	if f := len(s.freeRecs); f > 0 {
+		rec = s.freeRecs[f-1]
+		s.freeRecs = s.freeRecs[:f-1]
+		s.recs[rec] = r
 	} else {
-		dests.ForEachIn(s.cfg.N, func(q ids.ProcID) bool {
-			m.To = q
-			s.arrivals = append(s.arrivals, envelope{msg: m, notBefore: s.holdFor(from, q, now)})
-			return true
-		})
+		rec = int32(len(s.recs))
+		s.recs = append(s.recs, r)
 	}
 	s.inflight.Add(int64(count))
 	s.metrics.countSentN(tag, int64(count))
+	return rec, now, true
 }
 
-// growEligible extends e by n elements, reallocating like append would.
-// The caller must overwrite all n new elements: recycled capacity is
-// exposed as-is.
-func growEligible(e []Message, n int) []Message {
-	if len(e)+n > cap(e) {
-		grown := make([]Message, len(e), max(2*cap(e), len(e)+n))
-		copy(grown, e)
-		e = grown
+// enqueue puts one accepted copy into the network. With no scripted
+// holds the copy would be routed to the eligible tail, unconditionally,
+// by the next delivery phase — so it is appended there directly,
+// skipping the arrivals staging. Selection (which permutes eligible)
+// never runs between this send and that routing point, so the list is
+// exactly what routing would build.
+func (s *System) enqueue(c copyRef, from ids.ProcID, now Time) {
+	if s.holdUntil == nil {
+		s.eligible = append(s.eligible, c)
+		return
 	}
-	return e[:len(e)+n]
+	s.arrivals = append(s.arrivals, envelope{ref: c, notBefore: s.holdFor(from, ids.ProcID(c.to), now)})
 }
 
 // holdFor computes the release time for a (from, to) copy accepted at

@@ -56,9 +56,10 @@ func freshBytes(t *testing.T, cells []Cell) [][]byte {
 }
 
 // checkArenaClean asserts the reclaim's hygiene on an arena between
-// runs: every retained eligible, arrivals, hold-bucket and inbox slot,
-// over the buffer's full capacity and not only its length, is the zero
-// value, and every parked k-set round buffer has empty p1From/p2From.
+// runs: every retained send-record, free-list, eligible, arrivals,
+// hold-bucket and inbox slot, over the buffer's full capacity and not
+// only its length, is the zero value, and every parked k-set round
+// buffer has empty p1From/p2From.
 // It reads the arena's unexported fields through reflect, so the check
 // needs no test-only API in sim; a renamed field fails it loudly.
 func checkArenaClean(t *testing.T, a *sim.Arena) {
@@ -80,6 +81,8 @@ func checkArenaClean(t *testing.T, a *sim.Arena) {
 			}
 		}
 	}
+	zeroToCap("recs", field("recs"))
+	zeroToCap("freeRecs", field("freeRecs"))
 	zeroToCap("eligible", field("eligible"))
 	zeroToCap("arrivals", field("arrivals"))
 	for _, name := range []string{"buckets", "inboxes"} {
